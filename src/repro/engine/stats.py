@@ -13,6 +13,7 @@ the table behind ``python -m repro <exp> --perf``.
 
 from __future__ import annotations
 
+import gc
 import sys
 import time
 from collections import Counter
@@ -268,6 +269,38 @@ def format_bytes(count: int) -> str:
 
 STATS = EngineStats()
 
+# -- garbage-collector accounting ---------------------------------------
+#
+# One ``gc.callbacks`` hook counts collections per generation and times
+# every pause into STATS, so ``--perf``, ``--metrics-out`` and manifests
+# show what the cyclic collector cost a run.
+
+GC_COUNTERS = tuple(f"gc.collections.gen{generation}" for generation in range(3))
+_gc_started = 0.0
+
+
+def _seed_gc_keys() -> None:
+    # A collection can start inside any allocation, including one made
+    # while some caller iterates these dicts; with the keys present the
+    # hook only updates values and never changes a dict's size.
+    for name in GC_COUNTERS:
+        STATS.counters[name] += 0
+    STATS.timers.setdefault("gc.pause", 0.0)
+    STATS.timer_calls["gc.pause"] += 0
+
+
+def _on_gc(phase: str, info: dict) -> None:
+    global _gc_started
+    if phase == "start":
+        _gc_started = time.perf_counter()
+        return
+    STATS.inc(GC_COUNTERS[info["generation"]])
+    STATS.add_time("gc.pause", time.perf_counter() - _gc_started)
+
+
+_seed_gc_keys()
+gc.callbacks.append(_on_gc)
+
 
 def get_stats() -> EngineStats:
     """The process-wide stats instance."""
@@ -276,3 +309,4 @@ def get_stats() -> EngineStats:
 
 def reset_stats() -> None:
     STATS.reset()
+    _seed_gc_keys()

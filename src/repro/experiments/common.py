@@ -27,6 +27,7 @@ from ..core.companies import CompanyMap
 from ..core.pipeline import PipelineConfig, PipelineResult, PriorityPipeline
 from ..core.types import DomainInference
 from ..engine import EngineOptions, MXIdentityCache, parallel_gather
+from ..engine.heap import long_lived
 from ..engine.stats import STATS
 from ..faults import FaultInjector, FaultPlan, as_plan
 from ..obs import trace
@@ -332,6 +333,14 @@ class StudyContext:
                 self._measurements.pop(key)
                 self._measurements[key] = cached
             return cached
+        with long_lived():
+            return self._load_or_gather(dataset, snapshot_index)
+
+    def _load_or_gather(
+        self, dataset: DatasetTag, snapshot_index: int
+    ) -> dict[str, DomainMeasurement]:
+        """The :meth:`measurements` miss path: store, re-decode or gather."""
+        key = (dataset, snapshot_index)
         run = self.resilience
         if run is not None:
             run.shutdown.raise_if_set()
@@ -478,7 +487,7 @@ class StudyContext:
             builder = PriorityPipeline(
                 self.world.trust_store, self.company_map, self.world.psl
             )
-            with STATS.timer("context.cert_groups"):
+            with STATS.timer("context.cert_groups"), long_lived():
                 self._cert_groups[key] = builder.build_groups(measurements)
             self._stream_trim(self._cert_groups, "stream.groups.evicted")
         else:
@@ -517,40 +526,44 @@ class StudyContext:
                 )
         key = (dataset, snapshot_index)
         if key not in self._priority:
-            loaded = None
-            if self.store is not None:
-                loaded = self.store.load_result(
-                    self.world.config, dataset, snapshot_index, self.faults_key()
-                )
-            if loaded is not None:
-                self._priority[key] = loaded
-                self._stream_trim(self._priority, "stream.result.evicted")
-            else:
-                measurements = self.measurements(dataset, snapshot_index)
-                pipeline = PriorityPipeline(
-                    self.world.trust_store, self.company_map, self.world.psl,
-                    identity_cache=self.identity_cache, faults=self.faults,
-                )
-                with STATS.timer("context.pipeline"), trace.span(
-                    f"{dataset.value}[s{snapshot_index}].pipeline",
-                    cat="snapshot",
-                    corpus=dataset.value,
-                    snapshot=snapshot_index,
-                    config="default",
-                ):
-                    result = pipeline.run(
-                        measurements,
-                        groups=self.cert_groups(dataset, snapshot_index),
-                        jobs=self.engine.resolved_jobs(),
-                    )
-                if self.store is not None:
-                    self.store.save_result(
-                        self.world.config, dataset, snapshot_index, result,
-                        self.faults_key(),
-                    )
-                self._priority[key] = result
-                self._stream_trim(self._priority, "stream.result.evicted")
+            with long_lived():
+                self._priority[key] = self._load_or_run(dataset, snapshot_index)
+            self._stream_trim(self._priority, "stream.result.evicted")
         return self._priority[key]
+
+    def _load_or_run(
+        self, dataset: DatasetTag, snapshot_index: int
+    ) -> PipelineResult:
+        """The default-config :meth:`priority_result` miss path."""
+        if self.store is not None:
+            loaded = self.store.load_result(
+                self.world.config, dataset, snapshot_index, self.faults_key()
+            )
+            if loaded is not None:
+                return loaded
+        measurements = self.measurements(dataset, snapshot_index)
+        pipeline = PriorityPipeline(
+            self.world.trust_store, self.company_map, self.world.psl,
+            identity_cache=self.identity_cache, faults=self.faults,
+        )
+        with STATS.timer("context.pipeline"), trace.span(
+            f"{dataset.value}[s{snapshot_index}].pipeline",
+            cat="snapshot",
+            corpus=dataset.value,
+            snapshot=snapshot_index,
+            config="default",
+        ):
+            result = pipeline.run(
+                measurements,
+                groups=self.cert_groups(dataset, snapshot_index),
+                jobs=self.engine.resolved_jobs(),
+            )
+        if self.store is not None:
+            self.store.save_result(
+                self.world.config, dataset, snapshot_index, result,
+                self.faults_key(),
+            )
+        return result
 
     def priority(
         self, dataset: DatasetTag, snapshot_index: int
@@ -573,29 +586,26 @@ class StudyContext:
                 runner = banner_based(self.world.trust_store, psl=self.world.psl)
             else:
                 raise ValueError(f"unknown baseline approach: {approach}")
-            loaded = None
-            if self.store is not None:
-                loaded = self.store.load_baseline(
-                    self.world.config, dataset, snapshot_index, approach,
-                    self.faults_key(),
-                )
-            if loaded is not None:
-                self._baselines[key] = loaded
-                self._stream_trim(
-                    self._baselines, "stream.result.evicted", keep_factor=3
-                )
-            else:
-                measurements = self.measurements(dataset, snapshot_index)
-                inferences = runner.run(measurements)
+            with long_lived():
+                inferences = None
                 if self.store is not None:
-                    self.store.save_baseline(
+                    inferences = self.store.load_baseline(
                         self.world.config, dataset, snapshot_index, approach,
-                        inferences, self.faults_key(),
+                        self.faults_key(),
                     )
+                if inferences is None:
+                    inferences = runner.run(
+                        self.measurements(dataset, snapshot_index)
+                    )
+                    if self.store is not None:
+                        self.store.save_baseline(
+                            self.world.config, dataset, snapshot_index, approach,
+                            inferences, self.faults_key(),
+                        )
                 self._baselines[key] = inferences
-                self._stream_trim(
-                    self._baselines, "stream.result.evicted", keep_factor=3
-                )
+            self._stream_trim(
+                self._baselines, "stream.result.evicted", keep_factor=3
+            )
         return self._baselines[key]
 
     def all_approaches(

@@ -321,8 +321,11 @@ class IngestBreaker:
 # -- inflight ledger (poison-request blame) ------------------------------
 
 _SLOT_BYTES = 512
-_HEADER = struct.Struct("<IIdI")  # seq, inflight, last_activity, payload len
-_PAYLOAD_MAX = _SLOT_BYTES - _HEADER.size
+# Slot layout: the seqlock word, then the body at offset 4, then payload.
+_SEQ = struct.Struct("<I")
+_BODY = struct.Struct("<IdI")  # inflight, last_activity, payload len
+_PAYLOAD_AT = _SEQ.size + _BODY.size
+_PAYLOAD_MAX = _SLOT_BYTES - _PAYLOAD_AT
 
 
 def request_digest(request: dict) -> str:
@@ -362,16 +365,19 @@ class InflightLedger:
         """A consistent snapshot of one slot (parent side), or None."""
         base = index * _SLOT_BYTES
         for _ in range(8):
-            seq0, inflight, activity, length = _HEADER.unpack_from(
-                self._map, base
-            )
+            # The seq word is read alone, before and after the body: a
+            # body read that overlapped a write never sees both equal.
+            seq0 = _SEQ.unpack_from(self._map, base)[0]
             if seq0 % 2:  # write in progress
                 time.sleep(0.001)
                 continue
-            payload = bytes(
-                self._map[base + _HEADER.size: base + _HEADER.size + length]
+            inflight, activity, length = _BODY.unpack_from(
+                self._map, base + _SEQ.size
             )
-            seq1 = _HEADER.unpack_from(self._map, base)[0]
+            payload = bytes(
+                self._map[base + _PAYLOAD_AT: base + _PAYLOAD_AT + length]
+            )
+            seq1 = _SEQ.unpack_from(self._map, base)[0]
             if seq0 != seq1:
                 continue
             if inflight == 0 and not length:
@@ -399,17 +405,16 @@ class LedgerSlot:
         self._payload = b""
 
     def _write(self) -> None:
+        base = self._base
         self._seq += 1  # odd: write in progress
-        _HEADER.pack_into(self._map, self._base, self._seq, 0, 0.0, 0)
+        _SEQ.pack_into(self._map, base, self._seq)
         payload = self._payload[:_PAYLOAD_MAX]
-        self._map[
-            self._base + _HEADER.size: self._base + _HEADER.size + len(payload)
-        ] = payload
-        self._seq += 1  # even: consistent
-        _HEADER.pack_into(
-            self._map, self._base,
-            self._seq, self._depth, time.time(), len(payload),
+        self._map[base + _PAYLOAD_AT: base + _PAYLOAD_AT + len(payload)] = payload
+        _BODY.pack_into(
+            self._map, base + _SEQ.size, self._depth, time.time(), len(payload)
         )
+        self._seq += 1  # even, stored last: the body above is complete
+        _SEQ.pack_into(self._map, base, self._seq)
 
     def begin(self, digest: str) -> None:
         with self._lock:

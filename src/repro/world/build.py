@@ -15,6 +15,7 @@ from datetime import date
 
 from ..dnscore import ZoneDB, a as a_record, spf as spf_record
 from ..dnscore.psl import PublicSuffixList
+from ..engine.heap import long_lived
 from ..netsim.asn import PrefixToASTable
 from ..netsim.registry import AddressBlock, AddressRegistry
 from ..smtp.banner import BannerStyle
@@ -153,8 +154,14 @@ class World:
         return mapping
 
 
+@long_lived()
 def build_world(config: WorldConfig | None = None) -> World:
-    """Assemble a complete world from a config (fully deterministic)."""
+    """Assemble a complete world from a config (fully deterministic).
+
+    The world is frozen out of the cyclic collector once built: it is
+    immutable and lives as long as its context (see
+    :mod:`repro.engine.heap`).
+    """
     config = config or WorldConfig()
     builder = _WorldBuilder(config)
     return builder.build()

@@ -78,10 +78,15 @@ class TestRecording:
 
     def test_threaded_spans_all_recorded(self):
         tracer = trace.enable()
+        # Every thread waits inside its span until all 8 are alive, so
+        # the interpreter cannot recycle one finished thread's ident for
+        # the next (a short-lived thread often exits before the next
+        # starts, and then all 8 spans would share one tid).
+        together = threading.Barrier(8)
 
         def work(index):
             with trace.span(f"shard{index}", cat="shard"):
-                pass
+                together.wait(timeout=10)
 
         threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
         for thread in threads:

@@ -300,6 +300,33 @@ class TestInflightLedger:
         finally:
             ledger.close()
 
+    def test_reads_beside_a_forked_writer_are_never_torn(self):
+        # A torn header (in-flight work stamped with no activity time)
+        # looks like a request wedged since the epoch: the pool parent
+        # would SIGKILL a healthy worker over it.
+        ledger = InflightLedger(workers=1)
+        try:
+            pid = os.fork()
+            if pid == 0:  # child: the worker side, hammering its slot
+                try:
+                    slot = ledger.slot(0)
+                    stop = time.monotonic() + 1.5
+                    while time.monotonic() < stop:
+                        slot.begin("poison?")
+                        slot.done()
+                finally:
+                    os._exit(0)
+            torn = seen = 0
+            while os.waitpid(pid, os.WNOHANG) == (0, 0):
+                record = ledger.read(0)
+                if record is not None and record["inflight"] > 0:
+                    seen += 1
+                    torn += record["last_activity"] == 0.0
+            assert seen > 0
+            assert torn == 0, f"{torn} of {seen} in-flight reads were torn"
+        finally:
+            ledger.close()
+
 
 class TestGuardInjection:
     def test_crash_channel_is_hash_pure_and_kills_the_worker(
