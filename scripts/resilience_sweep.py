@@ -21,8 +21,11 @@ worker attempt dies, so the run must terminate (not hang) within the
 restart budget, exit nonzero, and name the quarantined shard in its
 diagnosis.
 
-Scenarios cover jobs∈{1,4} and both executors.  Everything is seeded
-(``--seed`` drives the kill delays), so a CI failure replays locally.
+Scenarios cover jobs∈{1,4}, both executors, and one batched gather
+(``--batch-domains 100``: batch-plan-keyed shard checkpoints, with
+batches large enough to shard at the default scale).  Everything is
+seeded (``--seed`` drives the kill delays), so a CI failure replays
+locally.
 
 Usage::
 
@@ -52,13 +55,16 @@ SUBPROCESS_TIMEOUT = 180.0
 MAX_RESUMES = 5
 DIST_HOSTS = 3
 
-#: (name, jobs, executor, signal) — jobs∈{1,4}, both executors, both
-#: interruption styles.
+#: (name, jobs, executor, signal, extra args) — jobs∈{1,4}, both
+#: executors, both interruption styles, unbatched and batched.  The
+#: reference run of a scenario gets the same extra args as its victim.
 SCENARIOS = (
-    ("p4-sigkill", 4, "process", signal.SIGKILL),
-    ("p4-sigint", 4, "process", signal.SIGINT),
-    ("t4-sigint", 4, "thread", signal.SIGINT),
-    ("j1-sigkill", 1, "process", signal.SIGKILL),
+    ("p4-sigkill", 4, "process", signal.SIGKILL, ()),
+    ("p4-sigint", 4, "process", signal.SIGINT, ()),
+    ("t4-sigint", 4, "thread", signal.SIGINT, ()),
+    ("j1-sigkill", 1, "process", signal.SIGKILL, ()),
+    ("p4-b100-sigkill", 4, "process", signal.SIGKILL,
+     ("--batch-domains", "100")),
 )
 
 
@@ -137,7 +143,9 @@ def compare_stores(reference: Path, candidate: Path) -> list[str]:
     return failures
 
 
-def run_scenario(args, name, jobs, executor, kill_signal, rng, work: Path) -> dict:
+def run_scenario(
+    args, name, jobs, executor, kill_signal, extra, rng, work: Path
+) -> dict:
     env = run_env(executor)
     scenario_dir = work / name
     ref_cache = scenario_dir / "ref-cache"
@@ -146,14 +154,14 @@ def run_scenario(args, name, jobs, executor, kill_signal, rng, work: Path) -> di
     scenario_dir.mkdir(parents=True)
 
     rc, ref_stdout, _, ref_wall = run_to_completion(
-        repro_command(args, jobs=jobs, cache_dir=ref_cache), env
+        repro_command(args, jobs=jobs, cache_dir=ref_cache, extra=extra), env
     )
     if rc != 0:
         return {"name": name, "failures": [f"reference run exited {rc}"]}
 
     victim = repro_command(
         args, jobs=jobs, cache_dir=victim_cache,
-        extra=("--run-dir", str(run_dir)),
+        extra=(*extra, "--run-dir", str(run_dir)),
     )
     journal_path = run_dir / JOURNAL_NAME
     delay = ref_wall * rng.uniform(0.3, 0.8)
@@ -220,6 +228,7 @@ def run_scenario(args, name, jobs, executor, kill_signal, rng, work: Path) -> di
         "name": name,
         "jobs": jobs,
         "executor": executor,
+        "extra_args": list(extra),
         "signal": signal.Signals(kill_signal).name,
         "kill_delay_seconds": round(delay, 3),
         "kills": kills,
@@ -474,9 +483,9 @@ def main(argv: list[str] | None = None) -> int:
                 file=sys.stderr,
             )
         else:
-            for name, jobs, executor, kill_signal in SCENARIOS:
+            for name, jobs, executor, kill_signal, extra in SCENARIOS:
                 result = run_scenario(
-                    args, name, jobs, executor, kill_signal, rng, work
+                    args, name, jobs, executor, kill_signal, extra, rng, work
                 )
                 results.append(result)
                 status = "ok" if not result["failures"] else "FAIL"

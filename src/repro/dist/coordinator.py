@@ -34,7 +34,7 @@ import socketserver
 import threading
 import time
 
-from ..engine.executor import ShardExecutor, register_executor
+from ..engine.executor import ShardExecutor
 from ..engine.stats import STATS
 from ..obs import trace
 from ..obs.log import get_logger
@@ -77,8 +77,6 @@ class _GatherSession:
 
 class DistExecutor(ShardExecutor):
     """The executor seam adapter: run a gather through a coordinator."""
-
-    name = "dist"
 
     def __init__(self, coordinator: "DistCoordinator"):
         self.coordinator = coordinator
@@ -469,12 +467,3 @@ class DistCoordinator:
             self._wake.notify_all()
             return protocol.message("ack")
 
-
-def _dist_needs_coordinator() -> ShardExecutor:
-    raise ValueError(
-        "the dist executor needs a coordinator: pass "
-        "GatherSupervision(dist=coordinator) instead of the name 'dist'"
-    )
-
-
-register_executor("dist", _dist_needs_coordinator)

@@ -5,8 +5,9 @@ sweeps fast without changing a single inference:
 
 * :mod:`repro.engine.stats` — counters/timers behind ``--perf``,
 * :mod:`repro.engine.sharding` — deterministic target-list sharding,
-* :mod:`repro.engine.parallel` — process/thread shard-parallel gathering,
-* :mod:`repro.engine.executor` — the pluggable shard-executor seam,
+* :mod:`repro.engine.parallel` — sharded gathering, always supervised,
+* :mod:`repro.engine.executor` — the shard-executor seam (process,
+  thread, dist),
 * :mod:`repro.engine.identcache` — cross-snapshot MX-identity memoization,
 * :mod:`repro.engine.options` — per-context execution knobs.
 
@@ -15,12 +16,7 @@ Every module here is importable from the low-level measurement layers
 runtime), so instrumentation can sit directly on the hot paths.
 """
 
-from .executor import (
-    ShardExecutor,
-    register_executor,
-    registered_executors,
-    resolve_executor,
-)
+from .executor import ShardExecutor
 from .identcache import MXIdentityCache, evidence_key
 from .options import EngineOptions
 from .parallel import env_jobs, parallel_gather, resolve_jobs
@@ -49,10 +45,7 @@ __all__ = [
     "merge_shard_results",
     "parallel_gather",
     "peak_rss_bytes",
-    "register_executor",
-    "registered_executors",
     "reset_stats",
-    "resolve_executor",
     "resolve_jobs",
     "sample_peak_rss",
     "ShardExecutor",

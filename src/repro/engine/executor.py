@@ -1,18 +1,15 @@
 """The shard-executor seam: how supervised shards actually run.
 
-PR 5's supervisor hard-wired two execution strategies (forked processes
-and threads) into one function.  This module extracts the seam those
-strategies share so new backends — notably the socket-dispatched
-multi-host executor in :mod:`repro.dist` — plug in without touching the
-supervision bookkeeping:
-
-* a :class:`ShardExecutor` receives the pending ``(index, shard)`` pairs
-  of one gather plus a *ledger* (the supervisor's bookkeeping object) and
-  drives every shard to ``ledger.accept`` or raises through
-  ``ledger.fail``;
-* executors are looked up by name through a process-wide registry, so
-  ``supervised_gather(..., executor="process")`` keeps working while
-  ``executor=DistExecutor(...)`` (an instance) bypasses the registry.
+Every sharded gather runs under ``resilience.supervisor``, which keeps
+the bookkeeping (restarts, quarantine, checkpoints, journal) and hands
+the pending shards to one :class:`ShardExecutor`.  There are three: the
+supervisor's own forked-process and thread executors, picked by name
+(``"process"``/``"thread"``), and the socket-dispatched multi-host
+executor in :mod:`repro.dist`, which a supervision bundle carrying a
+coordinator selects.  An executor receives the pending ``(index, shard)``
+pairs of one gather plus a *ledger* (the supervisor's bookkeeping
+object) and drives every shard to ``ledger.accept`` or raises through
+``ledger.fail``.
 
 The ledger contract an executor can rely on (see
 ``repro.resilience.supervisor._ShardLedger``):
@@ -40,14 +37,11 @@ into byte-identical artifacts.
 from __future__ import annotations
 
 import abc
-from typing import Callable, Sequence
+from typing import Sequence
 
 
 class ShardExecutor(abc.ABC):
     """One strategy for executing the pending shards of a gather."""
-
-    #: Registry name (informational; instances may be anonymous).
-    name: str = "?"
 
     @abc.abstractmethod
     def run(
@@ -63,29 +57,3 @@ class ShardExecutor(abc.ABC):
         raises ``ShardQuarantined`` / ``RunInterrupted`` on the
         supervisor's terminal conditions.
         """
-
-
-_REGISTRY: dict[str, Callable[[], ShardExecutor]] = {}
-
-
-def register_executor(name: str, factory: Callable[[], ShardExecutor]) -> None:
-    """Register a named executor factory (idempotent re-registration)."""
-    _REGISTRY[name] = factory
-
-
-def resolve_executor(executor: "str | ShardExecutor") -> ShardExecutor:
-    """An executor instance from a registry name or a ready instance."""
-    if isinstance(executor, ShardExecutor):
-        return executor
-    try:
-        factory = _REGISTRY[executor]
-    except KeyError:
-        known = ", ".join(sorted(_REGISTRY)) or "none registered"
-        raise ValueError(
-            f"unknown shard executor {executor!r} (known: {known})"
-        ) from None
-    return factory()
-
-
-def registered_executors() -> tuple[str, ...]:
-    return tuple(sorted(_REGISTRY))

@@ -24,15 +24,15 @@ class EngineOptions:
         ``"process"``, ``"thread"``, or ``None`` to pick automatically
         (processes when fork and multiple cores are available).
     ``shard_deadline``
-        Per-shard wall-clock budget (seconds) for the supervised gather
-        path; a worker past its deadline is treated as hung, killed, and
-        its shard reassigned.  ``None`` disables the watchdog.  Only
-        consulted when supervision is active (a resilient run or a fault
-        plan with worker channels).
+        Per-shard wall-clock budget (seconds) for sharded gathers, which
+        always run supervised; a worker past its deadline is treated as
+        hung, killed, and its shard reassigned.  ``None`` disables the
+        watchdog.  Serial gathers (``jobs`` 1 or a tiny target list)
+        have no shards and ignore it.
     ``max_restarts``
-        How many times a supervised shard may be reassigned after a
-        crashed or hung worker before it is quarantined and the run is
-        failed with a diagnosis naming the shard.
+        How many times a shard may be reassigned after a crashed or hung
+        worker before it is quarantined and the run is failed with a
+        diagnosis naming the shard.
     ``batch_domains``
         Streamed-gather batch size: snapshots are gathered in contiguous
         batches of this many domains, held in-flight as encoded codec

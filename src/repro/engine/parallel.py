@@ -1,11 +1,12 @@
 """Shard-parallel measurement gathering.
 
-Splits a target list into contiguous shards and gathers them concurrently.
-The preferred executor is a ``ProcessPoolExecutor`` over a fork context —
-the gatherer is handed to workers through fork inheritance (no pickling of
-the world), and only the per-shard measurement dicts travel back.  Where
-fork is unavailable (or the caller asks for it) a ``ThreadPoolExecutor``
-runs the same shards against the shared gatherer.
+Splits a target list into contiguous shards and hands them to
+:func:`repro.resilience.supervisor.supervised_gather`, the one way a
+sharded gather runs: in forked worker processes (the gatherer travels by
+fork inheritance, so the world is never pickled; only per-shard
+measurement dicts come back), in threads where fork is unavailable or
+the caller asks for them, or on dist worker hosts.  A plain run is
+supervised too, just without a journal, checkpoints or shutdown flag.
 
 Results are merged in shard order, so the output is identical — same
 domains, same order, same values — to a serial ``gatherer.gather`` call.
@@ -18,10 +19,8 @@ The shard count comes from an explicit ``jobs`` argument, the CLI's
 
 from __future__ import annotations
 
-import concurrent.futures
 import multiprocessing
 import os
-import time
 import warnings
 from typing import Sequence
 
@@ -34,9 +33,6 @@ EXECUTOR_ENV = "REPRO_EXECUTOR"
 
 # Below this many targets a shard is not worth an executor round-trip.
 MIN_PARALLEL_TARGETS = 64
-
-# Set immediately before forking a process pool; workers inherit it.
-_FORK_GATHERER = None
 
 
 def env_jobs(default: int = 1) -> int:
@@ -79,139 +75,52 @@ def _pick_executor(executor: str | None) -> str:
     return "thread"
 
 
-def _gather_shard_fork(index: int, shard: list[str], snapshot_index: int):
-    """Process-pool worker: gather one shard with the fork-inherited gatherer.
-
-    The forked child accumulates cache counters and spans in its *copy*
-    of the process-wide stats/tracer; both would vanish with the worker.
-    Each shard therefore ships its stats delta (everything since this
-    task started — the inherited pre-fork totals subtract out) and its
-    new trace events back alongside the measurements, and the parent
-    merges them, so ``--perf`` hit rates and traces stay correct at
-    ``--jobs > 1``.
-    """
-    baseline = STATS.snapshot()
-    mark = trace.mark()
-    started = time.perf_counter()
-    with trace.span(f"gather.shard{index}", cat="shard", targets=len(shard)):
-        result = _FORK_GATHERER.gather(shard, snapshot_index)
-    elapsed = time.perf_counter() - started
-    return result, elapsed, STATS.delta_since(baseline), trace.drain_new(mark)
-
-
 def parallel_gather(
     gatherer,
     domains: Sequence[str],
     snapshot_index: int,
     jobs: int | None = None,
     executor: str | None = None,
-    supervision=None,
+    *,
+    supervision,
 ) -> dict:
-    """Gather a target list, sharded across *jobs* workers.
+    """Gather a target list, sharded across *jobs* supervised workers.
 
     Bit-identical to ``gatherer.gather(list(domains), snapshot_index)``;
-    with ``jobs <= 1`` (or a tiny target list) it *is* that call.
-
-    When *supervision* (a :class:`repro.resilience.GatherSupervision`) is
-    given, the parallel path runs under the resilience supervisor:
-    per-shard worker processes with crash detection, a hung-shard
-    watchdog, bounded restarts, write-through shard checkpoints, and
-    poison-shard quarantine.  The serial path is unchanged except for a
-    shutdown-flag check — checkpoint granularity there is the whole
+    with ``jobs <= 1`` (or a tiny target list) it *is* that call, after
+    a shutdown-flag check — checkpoint granularity there is the whole
     snapshot, via the normal store keys.
+
+    *supervision* (a :class:`repro.resilience.GatherSupervision`) is the
+    policy the shards run under: restart budget, deadline, fault plan,
+    and — for resilient runs — journal, checkpoints and shutdown flag.
     """
     domains = list(domains)
     jobs = resolve_jobs(jobs)
-    dist = getattr(supervision, "dist", None) if supervision is not None else None
+    dist = supervision.dist
     if dist is None and (jobs <= 1 or len(domains) < MIN_PARALLEL_TARGETS):
         # A dist coordinator never takes this shortcut: even a jobs=1 or
         # tiny gather must be leased out so remote hosts do the work.
-        if supervision is not None and supervision.shutdown is not None:
+        if supervision.shutdown is not None:
             supervision.shutdown.raise_if_set()
         with STATS.timer("gather.serial"):
             return gatherer.gather(domains, snapshot_index)
 
+    # Imported lazily: the resilience layer itself builds on the engine.
+    from ..resilience.supervisor import supervised_gather
+
     shards = split_shards(domains, jobs)
     kind = "dist" if dist is not None else _pick_executor(executor)
-    if supervision is not None:
-        from ..resilience.supervisor import supervised_gather
-
-        with STATS.timer(f"gather.{kind}"), trace.span(
-            "gather", cat="gather", executor=kind, jobs=jobs,
-            targets=len(domains), supervised=True,
-        ):
-            results, timings = supervised_gather(
-                gatherer, shards, snapshot_index,
-                executor=kind, supervision=supervision,
-            )
-        STATS.record_shards(f"gather.jobs{jobs}", timings)
-        merged = merge_shard_results(results)
-        adopt = getattr(gatherer, "adopt", None)
-        if adopt is not None:
-            adopt(merged)
-        return merged
-
     with STATS.timer(f"gather.{kind}"), trace.span(
         "gather", cat="gather", executor=kind, jobs=jobs, targets=len(domains)
     ):
-        if kind == "process":
-            try:
-                results, timings = _gather_process(gatherer, shards, snapshot_index)
-            except (OSError, ValueError, concurrent.futures.BrokenExecutor) as exc:
-                warnings.warn(
-                    f"process-pool gather failed ({exc!r}); "
-                    "falling back to threads",
-                    stacklevel=2,
-                )
-                results, timings = _gather_thread(gatherer, shards, snapshot_index)
-        else:
-            results, timings = _gather_thread(gatherer, shards, snapshot_index)
-
+        results, timings = supervised_gather(
+            gatherer, shards, snapshot_index,
+            executor=kind, supervision=supervision,
+        )
     STATS.record_shards(f"gather.jobs{jobs}", timings)
     merged = merge_shard_results(results)
     # Fold worker-produced records back into the parent caches so the
     # next run over overlapping infrastructure starts warm.
-    adopt = getattr(gatherer, "adopt", None)
-    if adopt is not None:
-        adopt(merged)
+    gatherer.adopt(merged)
     return merged
-
-
-def _gather_process(gatherer, shards, snapshot_index):
-    global _FORK_GATHERER
-    context = multiprocessing.get_context("fork")
-    _FORK_GATHERER = gatherer
-    try:
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=len(shards), mp_context=context
-        ) as pool:
-            futures = [
-                pool.submit(_gather_shard_fork, index, shard, snapshot_index)
-                for index, shard in enumerate(shards)
-            ]
-            outcomes = [future.result() for future in futures]
-    finally:
-        _FORK_GATHERER = None
-    # Merge what the forked workers measured about themselves: their
-    # cache counters (previously silently dropped) and their spans.
-    for _result, _elapsed, stats_delta, events in outcomes:
-        STATS.merge(stats_delta)
-        trace.adopt(events)
-    return (
-        [result for result, _, _, _ in outcomes],
-        [elapsed for _, elapsed, _, _ in outcomes],
-    )
-
-
-def _gather_thread(gatherer, shards, snapshot_index):
-    def gather_one(indexed):
-        index, shard = indexed
-        started = time.perf_counter()
-        # Threads share the process stats/tracer — nothing to ship back.
-        with trace.span(f"gather.shard{index}", cat="shard", targets=len(shard)):
-            result = gatherer.gather(shard, snapshot_index)
-        return result, time.perf_counter() - started
-
-    with concurrent.futures.ThreadPoolExecutor(max_workers=len(shards)) as pool:
-        outcomes = list(pool.map(gather_one, enumerate(shards)))
-    return [result for result, _ in outcomes], [elapsed for _, elapsed in outcomes]

@@ -31,6 +31,7 @@ from ..engine.heap import long_lived
 from ..engine.stats import STATS
 from ..faults import FaultInjector, FaultPlan, as_plan
 from ..obs import trace
+from ..resilience.supervisor import GatherSupervision, SupervisorOptions
 from ..measure import (
     CensysScanner,
     MeasurementGatherer,
@@ -151,9 +152,10 @@ class StudyContext:
         measurement injector — they drive the shard supervisor instead and
         never perturb measured values or store keys.
 
-        *resilience* — a :class:`~repro.resilience.RunContext` — makes
-        gathers supervised and checkpointed, and threads the run's
-        shutdown flag through the experiment loop.
+        *resilience* — a :class:`~repro.resilience.RunContext` — adds
+        journaling and shard checkpoints to the (always supervised)
+        gathers, and threads the run's shutdown flag through the
+        experiment loop.
 
         *dist* — a :class:`~repro.dist.DistCoordinator` — leases gather
         shards to remote worker hosts over its socket instead of running
@@ -232,23 +234,20 @@ class StudyContext:
         snapshot_index: int,
         batch: tuple[int, int, int] | None = None,
     ):
-        """The gather-supervision bundle, or None for the plain path.
+        """The policy every gather of this snapshot runs under.
 
-        Supervision engages when the run is resilient (journal +
-        checkpoints + shutdown flag) or when the fault plan carries
-        worker channels (so injected crashes meet a supervisor that can
-        restart them); fault-free non-resilient runs take the untouched
-        executor path.  Under a streamed gather, *batch* is the plan key
-        of the batch being supervised: checkpoints key on it, and worker
-        fault rolls vary per batch (restart budgets are per gather, so
-        the values a batch produces are still never affected).
+        Restart budget and deadline come from the engine options; the
+        fault plan rides along when it carries worker channels; a
+        resilient run adds its journal, shutdown flag and shard
+        checkpoints; a dist context adds its coordinator.  Under a
+        streamed gather, *batch* is the plan key of the batch being
+        supervised: checkpoints key on it, and worker fault rolls vary
+        per batch (restart budgets are per gather, so the values a batch
+        produces are still never affected).
         """
         plan = self.fault_plan
         worker_faults = plan is not None and plan.worker_active
         run = self.resilience
-        if run is None and not worker_faults and self.dist is None:
-            return None
-        from ..resilience.supervisor import GatherSupervision, SupervisorOptions
 
         checkpoint_factory = None
         if run is not None and run.checkpoints is not None:
@@ -393,7 +392,7 @@ class StudyContext:
                     spiller=spiller,
                     jobs=self.engine.resolved_jobs(),
                     executor=self.engine.executor,
-                    supervision_factory=lambda index, _count: self._supervision(
+                    supervision_factory=lambda index: self._supervision(
                         dataset, snapshot_index,
                         batch=plan.key(index, len(targets)),
                     ),

@@ -12,8 +12,10 @@ Three cooperating pieces turn the measure→infer engine crash-safe:
   (journal + shutdown flag + write-through shard checkpoints) the CLI
   threads through the execution layer.
 
-None of this is active by default: without ``--run-dir``/``--runs-root``
-(or worker-fault channels), runs take the exact pre-existing code path.
+Every sharded gather runs under the supervisor; what ``--run-dir`` /
+``--runs-root`` adds is the journal, the shutdown flag and the shard
+checkpoints.  Without them a run is supervised with restarts, deadline
+and quarantine only, and writes nothing beyond its normal store entries.
 """
 
 from .journal import (

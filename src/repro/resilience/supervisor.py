@@ -1,20 +1,19 @@
 """Worker supervision: crash-, hang-, and poison-aware shard execution.
 
-The plain engine path (``engine.parallel``) optimizes the happy case: a
-``ProcessPoolExecutor`` that assumes every worker returns.  At campaign
-scale that assumption fails routinely — a worker segfaults, the OOM
-killer picks one off, a shard wedges behind a pathological target — and
-a pool turns any of those into either a deadlock or an opaque
-``BrokenProcessPool`` that throws away every completed shard.
+This is the one way a sharded gather runs (``engine.parallel`` keeps
+only a serial shortcut for ``jobs <= 1`` and tiny target lists).  At
+campaign scale a worker fails routinely — it segfaults, the OOM killer
+picks it off, a shard wedges behind a pathological target — and a plain
+pool turns any of those into either a deadlock or an opaque
+``BrokenProcessPool`` that throws away every completed shard.  The
+supervisor instead:
 
-This module replaces the pool with a supervisor when resilience is
-active:
-
-* each shard runs in its own forked ``multiprocessing.Process`` with a
+* runs each shard in its own forked ``multiprocessing.Process`` with a
   private result pipe, so one dying worker cannot corrupt its siblings'
   channels;
-* a monitor loop detects crashed workers (nonzero/killed exit without a
-  result) and reassigns their shards under a bounded restart budget;
+* blocks on those pipes and the workers' exit sentinels, so a result or
+  a crash is handled the moment it arrives, and reassigns crashed
+  workers' shards under a bounded restart budget;
 * an optional per-shard deadline turns stragglers into detected hangs:
   the worker is killed and the shard reassigned, with the same budget;
 * a shard that keeps killing workers is **quarantined** — the run fails
@@ -27,14 +26,23 @@ active:
   replacement does) are accepted once: results by first arrival, stats
   deltas deduplicated via :meth:`EngineStats.merge_once`.
 
+Supervision is a policy, not a mode.  A plain ``--jobs N`` run gets the
+restarts, deadline and quarantine of its ``EngineOptions`` with no
+journal, checkpoints or shutdown flag; a resilient run (``--run-dir``)
+adds those three.  Shards run on one of three executors (the
+:class:`~repro.engine.executor.ShardExecutor` seam): forked processes,
+threads, or — when the bundle carries a dist coordinator — remote
+worker hosts.
+
 Results are still merged in shard order, so supervised gathers remain
 bit-identical to serial ones — supervision changes *how* work executes,
 never *what* it computes.
 
 The deterministic ``worker.crash`` / ``worker.hang`` fault channels
 (:mod:`repro.faults`) inject these failures on purpose: a roll keyed on
-``(seed, channel, corpus:snapshot, shard, attempt)`` decides whether a
-given attempt dies, so kill/resume differential tests replay exactly.
+``(seed, channel, corpus:snapshot[:batch], shard, attempt)`` decides
+whether a given attempt dies, so kill/resume differential tests replay
+exactly.
 """
 
 from __future__ import annotations
@@ -45,9 +53,10 @@ import os
 import time
 import concurrent.futures
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait
 from typing import Callable, Sequence
 
-from ..engine.executor import ShardExecutor, register_executor, resolve_executor
+from ..engine.executor import ShardExecutor
 from ..engine.stats import STATS
 from ..faults.inject import fault_roll
 from ..obs import trace
@@ -62,6 +71,10 @@ EXIT_WORKER_ERROR = 114
 #: Upper bound on how long an injected hang sleeps (keeps undetected
 #: hangs — no deadline configured — from stalling a run forever).
 MAX_HANG_SLEEP = 30.0
+
+#: Longest the process monitor blocks between shutdown-flag checks
+#: (seconds): a signal handler sets the flag but cannot wake the wait.
+SHUTDOWN_CHECK_INTERVAL = 0.1
 
 log = get_logger("resilience")
 
@@ -79,7 +92,6 @@ class SupervisorOptions:
 
     deadline: float | None = None   # per-shard seconds; None = no watchdog
     max_restarts: int = 2           # reassignments per shard before quarantine
-    poll_interval: float = 0.02     # monitor loop cadence (seconds)
 
     @property
     def max_attempts(self) -> int:
@@ -92,7 +104,9 @@ class GatherSupervision:
 
     options: SupervisorOptions = field(default_factory=SupervisorOptions)
     plan: object | None = None            # FaultPlan with worker channels, or None
-    scope: tuple[str, int] = ("", -1)     # (corpus, snapshot) for rolls/journal
+    #: (corpus, snapshot) for rolls/journal, plus (batch index, batch
+    #: count) under a streamed gather so rolls vary per batch.
+    scope: tuple = ("", -1)
     checkpoint_factory: Callable[[int], object] | None = None  # shard_count -> bound
     journal: object | None = None         # RunJournal, or None
     shutdown: ShutdownFlag | None = None
@@ -185,8 +199,8 @@ class _ShardLedger:
 
     def __init__(self, supervision: GatherSupervision, shard_count: int, checkpoint):
         self.supervision = supervision
-        self.corpus, self.snapshot = supervision.scope
-        self.scope_key = f"{self.corpus}:{self.snapshot}"
+        self.corpus, self.snapshot = supervision.scope[:2]
+        self.scope_key = ":".join(str(part) for part in supervision.scope)
         self.checkpoint = checkpoint
         self.gather_id = next(_GATHER_SEQ)
         self.results: dict[int, object] = {}
@@ -281,10 +295,9 @@ def supervised_gather(
     timings cover only shards actually gathered this call — restored
     checkpoints do not distort imbalance statistics.
 
-    *executor* is a registry name (``"process"``/``"thread"``, or
-    ``"dist"`` once :mod:`repro.dist` is imported) or a ready
-    :class:`~repro.engine.executor.ShardExecutor` instance; a
-    supervision bundle carrying a dist coordinator overrides it.
+    *executor* is ``"process"`` or ``"thread"``; a supervision bundle
+    carrying a dist coordinator overrides it with the coordinator's
+    executor.
     """
     checkpoint = None
     if supervision.checkpoint_factory is not None:
@@ -300,7 +313,7 @@ def supervised_gather(
         if supervision.dist is not None:
             backend = supervision.dist.executor()
         else:
-            backend = resolve_executor(executor)
+            backend = _LOCAL_EXECUTORS[executor]
         backend.run(gatherer, pending, snapshot_index, ledger)
     ordered = [ledger.results[index] for index in range(len(shards))]
     timings = [ledger.timings[index] for index in sorted(ledger.timings)]
@@ -363,12 +376,19 @@ def _run_process(gatherer, pending, snapshot_index, ledger: _ShardLedger) -> Non
             if supervision.shutdown is not None and supervision.shutdown.is_set():
                 _flush_on_shutdown(active, ledger, retire, drain)
                 raise RunInterrupted(supervision.shutdown.signal_name or "signal")
-            progressed = False
+            # Sleep until a pipe has data (a result, or EOF from a dead
+            # worker), a worker exits, or the nearest deadline falls due.
+            handles, timeout = [], SHUTDOWN_CHECK_INTERVAL
+            for proc, conn, _attempt, started in active.values():
+                handles += (conn, proc.sentinel)
+                if options.deadline is not None:
+                    due = started + options.deadline - time.perf_counter()
+                    timeout = min(timeout, due)
+            wait(handles, max(0.0, timeout))
             for index in list(active):
                 proc, conn, attempt, started = active[index]
                 message = drain(index)
                 if message is not None and message != ():
-                    progressed = True
                     if message[0] == "ok":
                         _tag, _idx, m_attempt, result, elapsed, delta, events = message
                         ledger.accept(index, m_attempt, result, elapsed, delta, events)
@@ -383,7 +403,6 @@ def _run_process(gatherer, pending, snapshot_index, ledger: _ShardLedger) -> Non
                         launch(index)
                     continue
                 if message == ():  # pipe hit EOF: the worker died on us
-                    progressed = True
                     proc.join(timeout=5.0)
                     exitcode = proc.exitcode
                     retire(index, kill=True)
@@ -396,7 +415,6 @@ def _run_process(gatherer, pending, snapshot_index, ledger: _ShardLedger) -> Non
                 if not proc.is_alive():
                     if conn.poll():
                         continue  # result landed between checks; next pass
-                    progressed = True
                     exitcode = proc.exitcode
                     retire(index)
                     ledger.fail(
@@ -409,7 +427,6 @@ def _run_process(gatherer, pending, snapshot_index, ledger: _ShardLedger) -> Non
                     options.deadline is not None
                     and time.perf_counter() - started > options.deadline
                 ):
-                    progressed = True
                     retire(index, kill=True)
                     ledger.fail(
                         index, attempt, "hung",
@@ -417,8 +434,6 @@ def _run_process(gatherer, pending, snapshot_index, ledger: _ShardLedger) -> Non
                         f"(attempt {attempt})",
                     )
                     launch(index)
-            if not progressed:
-                time.sleep(options.poll_interval)
     finally:
         _FORK_GATHERER = None
         for index in list(active):
@@ -505,13 +520,11 @@ def _run_thread(gatherer, pending, snapshot_index, ledger: _ShardLedger) -> None
         raise errors[0]
 
 
-# -- registry ------------------------------------------------------------
+# -- executors -----------------------------------------------------------
 
 
 class ProcessShardExecutor(ShardExecutor):
     """One forked process per shard with crash/hang watchdogs."""
-
-    name = "process"
 
     def run(self, gatherer, pending, snapshot_index, ledger) -> None:
         _run_process(gatherer, pending, snapshot_index, ledger)
@@ -520,11 +533,12 @@ class ProcessShardExecutor(ShardExecutor):
 class ThreadShardExecutor(ShardExecutor):
     """Thread-pool supervision for platforms without fork."""
 
-    name = "thread"
-
     def run(self, gatherer, pending, snapshot_index, ledger) -> None:
         _run_thread(gatherer, pending, snapshot_index, ledger)
 
 
-register_executor("process", ProcessShardExecutor)
-register_executor("thread", ThreadShardExecutor)
+#: The local executors, by the names ``EngineOptions.executor`` takes.
+_LOCAL_EXECUTORS: dict[str, ShardExecutor] = {
+    "process": ProcessShardExecutor(),
+    "thread": ThreadShardExecutor(),
+}

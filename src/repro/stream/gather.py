@@ -3,12 +3,13 @@
 ``stream_gather`` is the out-of-core twin of
 :func:`repro.engine.parallel.parallel_gather`: it walks the batch plan's
 contiguous slices, gathers each one through the ordinary parallel
-engine (so per-shard supervision, fault rolls, and executor fallback
-behave exactly as unbatched runs), hands the result straight to the
-spiller as an encoded payload, and trims the gatherer's memo caches
-between batches.  The final merge restores the canonical identity
-topology, so the return value is byte-for-byte what an unbatched gather
-would have produced — batching is invisible to every consumer.
+engine under its own supervision bundle (so restarts, fault rolls and
+shard checkpoints behave exactly as unbatched runs, keyed per batch),
+hands the result straight to the spiller as an encoded payload, and
+trims the gatherer's memo caches between batches.  The final merge
+restores the canonical identity topology, so the return value is
+byte-for-byte what an unbatched gather would have produced — batching
+is invisible to every consumer.
 """
 
 from __future__ import annotations
@@ -52,28 +53,26 @@ def stream_gather(
     spiller: BatchSpiller,
     jobs: int | None = None,
     executor: str | None = None,
-    supervision_factory: Callable[[int, int], object] | None = None,
+    supervision_factory: Callable[[int], object],
     cache_entries: int | None = None,
 ):
-    """Gather *targets* batch by batch; returns the canonical merged dict."""
+    """Gather *targets* batch by batch; returns the canonical merged dict.
+
+    ``supervision_factory(batch_index)`` builds the
+    :class:`~repro.resilience.GatherSupervision` each batch runs under.
+    """
     cache_cap = env_cache_entries() if cache_entries is None else cache_entries
-    batch_count = plan.batch_count(len(targets))
     with STATS.timer("gather.stream"):
         for batch_index, batch in plan.split(targets):
             if spiller.restore(batch_index):
                 continue
-            supervision = (
-                supervision_factory(batch_index, batch_count)
-                if supervision_factory is not None
-                else None
-            )
             gathered = parallel_gather(
                 gatherer,
                 batch,
                 snapshot_index,
                 jobs=jobs,
                 executor=executor,
-                supervision=supervision,
+                supervision=supervision_factory(batch_index),
             )
             spiller.add(batch_index, gathered)
             del gathered

@@ -318,7 +318,7 @@ class TestDistScenarios:
             heartbeat_timeout=0.6,
             heartbeat_interval=0.1,
             steal_after=None,
-            min_hosts=2,
+            min_hosts=1,
             stall_timeout=120,
         )
         coordinator.configure()
@@ -329,16 +329,37 @@ class TestDistScenarios:
             procs.append(spawn_worker(
                 socket_path, f"{token}-h0", ctx.gatherer, plan=netsplit
             ))
-            procs.append(spawn_worker(socket_path, f"{token}-h1", ctx.gatherer))
             supervision = GatherSupervision(
                 options=SupervisorOptions(max_restarts=3),
                 scope=("alexa", snapshot),
                 dist=coordinator,
             )
-            results, _ = supervised_gather(
-                ctx.gatherer, shards, snapshot,
-                executor="process", supervision=supervision,
+            outcome = {}
+
+            def gather():
+                try:
+                    outcome["value"] = supervised_gather(
+                        ctx.gatherer, shards, snapshot,
+                        executor="process", supervision=supervision,
+                    )
+                except BaseException as error:  # surfaced to the test thread
+                    outcome["error"] = error
+
+            runner = threading.Thread(target=gather, daemon=True)
+            runner.start()
+            # Host 1 joins only once host 0 holds a lease.  Joined any
+            # earlier, it can drain both shards while host 0 sleeps
+            # between lease requests, and host 0 then never goes silent.
+            wait_for(
+                lambda: counters().get(f"dist.host.{token}-h0.leases", 0) >= 1,
+                timeout=30, message="host 0 to hold its first lease",
             )
+            procs.append(spawn_worker(socket_path, f"{token}-h1", ctx.gatherer))
+            runner.join(timeout=180)
+            assert not runner.is_alive(), "dist gather never completed"
+            if "error" in outcome:
+                raise outcome["error"]
+            results, _ = outcome["value"]
             assert canonical_bytes(merge_shard_results(results)) == expected
             lost = (counters().get("dist.host.lost", 0)
                     - before.get("dist.host.lost", 0))

@@ -108,6 +108,25 @@ class TestResume:
         ]) == 0
         assert capsys.readouterr().out == plain
 
+    def test_parallel_batched_run_and_resume_keep_stdout(self, tmp_path, capsys):
+        """Batches of at least 64 domains shard across supervised workers.
+
+        Their shard checkpoints key on the batch plan; the resilient run
+        and its resume must still print exactly what the plain run
+        prints.
+        """
+        reset_stats()
+        assert main(["tab4", "--scale", SCALE, "--no-cache"]) == 0
+        plain = capsys.readouterr().out
+        code, run_dir, first = resilient_run(
+            tmp_path, capsys, "--jobs", "2", "--batch-domains", "100"
+        )
+        assert code == 0
+        assert first.out == plain
+        reset_stats()
+        assert main(["resume", "--run-dir", str(run_dir)]) == 0
+        assert capsys.readouterr().out == plain
+
     def test_jobs_override_keeps_stdout(self, tmp_path, capsys):
         code, run_dir, first = resilient_run(tmp_path, capsys)
         assert code == 0

@@ -64,10 +64,7 @@ def expected(snapshot_index=8):
 
 
 def supervise(**overrides):
-    fields = dict(
-        options=SupervisorOptions(poll_interval=0.005),
-        scope=("alexa", 8),
-    )
+    fields = dict(scope=("alexa", 8))
     fields.update(overrides)
     return GatherSupervision(**fields)
 
@@ -102,7 +99,7 @@ class TestThreadSupervision:
 
     def test_hang_counts_against_the_same_budget(self):
         plan = FaultPlan.parse("worker.hang=1.0", seed=7)
-        options = SupervisorOptions(deadline=0.01, poll_interval=0.005)
+        options = SupervisorOptions(deadline=0.01)
         with pytest.raises(ShardQuarantined) as info:
             run("thread", supervise(plan=plan, options=options))
         assert any("hung" in reason for reason in info.value.reasons)
@@ -163,7 +160,7 @@ class TestProcessSupervision:
 
     def test_hung_worker_killed_by_deadline(self):
         plan = FaultPlan.parse("worker.hang=1.0", seed=7)
-        options = SupervisorOptions(deadline=0.05, poll_interval=0.005)
+        options = SupervisorOptions(deadline=0.05)
         with pytest.raises(ShardQuarantined) as info:
             run("process", supervise(plan=plan, options=options), shards=[["a"]])
         assert any("deadline" in reason for reason in info.value.reasons)

@@ -42,8 +42,9 @@ CONFIG = WorldConfig(seed=7, alexa_size=130, com_size=130, gov_size=70)
 # (jobs, executor, batch_domains): the streamed settings whose sweeps
 # must be byte-identical to the serial unbatched reference.  Batch sizes
 # straddle the interesting shapes — one domain per batch, a mid-size
-# batch, and one batch far larger than any corpus (degenerates to a
-# single batch while still exercising the streamed machinery).
+# batch, one batch far larger than any corpus (degenerates to a single
+# batch while still exercising the streamed machinery), and batches of
+# 100: at or past MIN_PARALLEL_TARGETS, so at jobs 4 they really shard.
 STREAM_SETTINGS = [
     (1, None, 1),
     (1, None, 7),
@@ -51,6 +52,8 @@ STREAM_SETTINGS = [
     (4, "thread", 7),
     (4, "process", 7),
     (4, "thread", 1),
+    (4, "thread", 100),
+    (4, "process", 100),
 ]
 
 
