@@ -13,6 +13,9 @@ The algorithm follows https://publicsuffix.org/list/:
 
 1. Match domain labels against all rules; among matching rules, exception
    rules beat all others, otherwise the longest (most labels) rule wins.
+   Rules are keyed by their label tuples, so matching probes each suffix
+   of the name (and its ``*`` variant) instead of testing every rule; a
+   wildcard is therefore only accepted as a rule's leftmost label.
 2. If no rule matches, the prevailing rule is ``*`` (TLD is public).
 3. The public suffix is the matched rule's span; the registered domain is
    the public suffix plus one more label.
@@ -114,29 +117,32 @@ class PublicSuffixList:
         if is_exception:
             entry = entry[1:]
         key = tuple(entry.split("."))
+        if "*" in key[1:]:
+            raise ValueError(f"PSL wildcard must be the leftmost label: {entry!r}")
         self.rules[key] = _Rule(labels=key, is_exception=is_exception)
         self.cache_clear()
 
     def _matching_rule(self, parts: list[str]) -> _Rule | None:
-        """Find the prevailing rule for a label sequence (leftmost first)."""
-        best: _Rule | None = None
-        for rule in self.rules.values():
-            if self._rule_matches(rule, parts):
-                if rule.is_exception:
-                    return rule
-                if best is None or rule.depth > best.depth:
-                    best = rule
-        return best
+        """Find the prevailing rule for a label sequence (leftmost first).
 
-    @staticmethod
-    def _rule_matches(rule: _Rule, parts: list[str]) -> bool:
-        if len(rule.labels) > len(parts):
-            return False
-        # Rules match right-aligned; '*' matches any single label.
-        for rule_label, part in zip(reversed(rule.labels), reversed(parts)):
-            if rule_label != "*" and rule_label != part:
-                return False
-        return True
+        Each suffix of *parts*, shortest first, is two dict probes: the
+        literal rule and its leftmost-``*`` variant.  An exception rule
+        beats every other match; otherwise, and among exceptions, the
+        longest rule wins.
+        """
+        rules = self.rules
+        best: _Rule | None = None
+        exception: _Rule | None = None
+        for start in range(len(parts) - 1, -1, -1):
+            suffix = tuple(parts[start:])
+            for rule in (rules.get(suffix), rules.get(("*",) + suffix[1:])):
+                if rule is None:
+                    continue
+                if rule.is_exception:
+                    exception = rule
+                else:
+                    best = rule
+        return exception or best
 
     def public_suffix(self, name: str) -> str:
         """Return the public suffix of *name* (always non-empty)."""

@@ -112,8 +112,11 @@ class RRset:
     records: tuple[Record, ...]
 
     def __post_init__(self) -> None:
+        if not self.records:
+            return
+        name = normalize(self.name)
         for record in self.records:
-            if record.name != normalize(self.name) or record.rtype is not self.rtype:
+            if record.name != name or record.rtype is not self.rtype:
                 raise ValueError("RRset members must share name and type")
 
     def __iter__(self):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from .names import is_subdomain_of, normalize
+from .names import normalize
 from .records import Record, RRset, RRType
 
 
@@ -35,13 +35,14 @@ class Zone:
         self.apex = normalize(self.apex)
 
     def add(self, record: Record) -> None:
-        if not is_subdomain_of(record.name, self.apex):
+        # Record names are normalized on construction, and so is the apex.
+        name = record.name
+        if name != self.apex and not name.endswith("." + self.apex):
             raise ZoneConflictError(
-                f"record {record.name} does not belong to zone {self.apex}"
+                f"record {name} does not belong to zone {self.apex}"
             )
         self._check_cname_exclusivity(record)
-        self._store.setdefault((record.name, record.rtype), [])
-        bucket = self._store[(record.name, record.rtype)]
+        bucket = self._store.setdefault((name, record.rtype), [])
         if record not in bucket:
             bucket.append(record)
 
@@ -103,8 +104,10 @@ class ZoneDB:
 
     def zone_for(self, name: str) -> Zone | None:
         """Most specific zone whose apex encloses *name*."""
-        name = normalize(name)
-        candidate = name
+        return self._enclosing(normalize(name))
+
+    def _enclosing(self, candidate: str) -> Zone | None:
+        """:meth:`zone_for` over an already-normalized name."""
         while candidate:
             if candidate in self._zones:
                 return self._zones[candidate]
@@ -114,16 +117,17 @@ class ZoneDB:
         return None
 
     def add(self, record: Record) -> None:
-        zone = self.zone_for(record.name)
+        zone = self._enclosing(record.name)
         if zone is None:
             raise ZoneConflictError(f"no zone encloses {record.name}")
         zone.add(record)
 
     def lookup(self, name: str, rtype: RRType) -> RRset:
         """Authoritative lookup — no CNAME chasing (the resolver does that)."""
-        zone = self.zone_for(name)
-        records = zone.lookup(name, rtype) if zone else []
-        return RRset(name=normalize(name), rtype=rtype, records=tuple(records))
+        name = normalize(name)
+        zone = self._enclosing(name)
+        records = zone._store.get((name, rtype), ()) if zone is not None else ()
+        return RRset(name=name, rtype=rtype, records=tuple(records))
 
     def zone_apexes(self) -> list[str]:
         return sorted(self._zones)

@@ -141,20 +141,3 @@ class OpenINTELPlatform:
         for resolver in self._resolvers:
             resolver.clear_cache()
         return cached
-
-    def stable_domains(self, domains: list[str]) -> list[str]:
-        """Domains that publish an MX record at *every covered* snapshot.
-
-        This is the paper's stability filter (Section 4.1): it removes
-        churned registrations and domains that dropped mail service.
-        """
-        stable = []
-        for domain in domains:
-            records = [
-                self.measure_domain(domain, index)
-                for index in range(self.num_snapshots)
-                if self.covers(domain, index)
-            ]
-            if records and all(record is not None and record.has_mx for record in records):
-                stable.append(normalize(domain))
-        return stable

@@ -7,10 +7,11 @@ Two subcommands:
   JSON document (``--metrics``), and optionally a span stream
   (``--trace-jsonl``).
 * ``repro obs timeline`` — the cross-run perf timeline: fold bench
-  documents (bench_sweep / serve_sweep / chaos_sweep ``--json`` output)
-  into an append-only history file and compare the latest run of each
-  bench against the rolling median of its prior runs.  ``--check``
-  turns regressions into a non-zero exit for CI.
+  documents (bench_sweep / serve_sweep / chaos_sweep ``--json`` output,
+  or saved perfbench stdout) into an append-only history file and
+  compare the latest run of each bench against the rolling median of
+  its prior runs.  ``--check`` turns regressions into a non-zero exit
+  for CI.
 
 Exit codes: 0 success, 1 regression detected (``timeline --check``),
 2 user/input errors.
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import timeline as obs_timeline
@@ -53,7 +55,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     tl.add_argument(
         "documents", nargs="*", metavar="BENCH_JSON",
-        help="bench documents to record (sweep --json output files)",
+        help="bench documents to record (sweep --json output files, or "
+             "saved perfbench stdout, whose metric polarity comes from the "
+             f"{obs_timeline.BENCHMARK_FILE} beside --history)",
     )
     tl.add_argument(
         "--history", metavar="PATH", default=obs_timeline.DEFAULT_HISTORY,
@@ -222,10 +226,13 @@ def run_report(args: argparse.Namespace) -> int:
 def run_timeline(args: argparse.Namespace) -> int:
     try:
         entries = obs_timeline.read_history(args.history)
+        benchmark = os.path.join(
+            os.path.dirname(os.path.abspath(args.history)),
+            obs_timeline.BENCHMARK_FILE,
+        )
         for path in args.documents:
             try:
-                with open(path) as handle:
-                    document = json.load(handle)
+                document = obs_timeline.load_document(path, benchmark)
             except (OSError, ValueError) as error:
                 print(f"obs timeline: cannot read {path}: {error}", file=sys.stderr)
                 return 2

@@ -206,6 +206,8 @@ HISTORY_EVENT_SCHEMA = {
         "source": {},  # a path string, or null for hand-seeded entries
         "recorded": {"type": "number"},
         "metrics": {"type": "object"},
+        # metric -> "higher"/"lower", when the document declared polarity.
+        "better": {"type": "object"},
     },
 }
 

@@ -12,7 +12,13 @@ One history line per recorded run::
     {"history_schema": 1, "bench": "serve-sweep", "run": "...",
      "recorded": 1754650000.0, "metrics": {"daemon.p99_ms": 1.62, ...}}
 
-Metric *polarity* is inferred from the name: throughput-flavoured
+A saved perfbench stdout capture (``python3 perfbench/run.py ... >
+run.txt``) is a document too: its ``# perfbench workload=...`` header and
+final result line become one ``perfbench-<workload>`` run.
+
+Metric *polarity* comes from the entry when its document declared one
+(perfbench metrics take ``better`` from the ``BENCHMARK.json`` beside the
+history file).  Otherwise it is inferred from the name: throughput-flavoured
 metrics (qps, speedup, accuracy, hit rates) regress when they **drop**;
 everything else (latencies, wall clocks, RSS) regresses when it
 **rises**.  A metric regresses when its worse-direction ratio against
@@ -31,6 +37,10 @@ HISTORY_SCHEMA_VERSION = 1
 DEFAULT_HISTORY = "BENCH_history.jsonl"
 DEFAULT_THRESHOLD = 1.5
 DEFAULT_WINDOW = 5
+#: The benchmark declaration, read from the history file's directory.
+BENCHMARK_FILE = "BENCHMARK.json"
+#: First line of a saved perfbench stdout capture.
+PERFBENCH_HEADER = "# perfbench "
 
 #: Name fragments whose metrics improve upward (drop = regression).
 _HIGHER_IS_BETTER = ("qps", "speedup", "accuracy", "hit_rate", "rate")
@@ -47,6 +57,81 @@ def higher_is_better(metric: str) -> bool:
     return any(tail.startswith(marker) or marker in tail for marker in _HIGHER_IS_BETTER)
 
 
+def _entry_higher_is_better(entry: dict, metric: str) -> bool:
+    """Polarity declared by the entry's document, else by name."""
+    declared = entry.get("better", {}).get(metric)
+    if declared is not None:
+        return declared == "higher"
+    return higher_is_better(metric)
+
+
+# -- documents -------------------------------------------------------------
+
+
+def load_document(path: str | os.PathLike, benchmark: str | os.PathLike) -> dict:
+    """The bench document in *path*: a sweep's ``--json`` output, or a
+    perfbench stdout capture whose polarity comes from *benchmark*."""
+    with open(path) as handle:
+        text = handle.read()
+    if text.startswith(PERFBENCH_HEADER):
+        return perfbench_document(text, read_polarity(benchmark))
+    return json.loads(text)
+
+
+def read_polarity(path: str | os.PathLike) -> dict[str, str]:
+    """metric → ``"higher"``/``"lower"``, as a BENCHMARK.json declares."""
+    try:
+        with open(path) as handle:
+            declared = json.load(handle)
+        return {
+            metric["name"]: metric["better"]
+            for section in ("end_to_end", "per_layer")
+            for metric in declared.get(section, [])
+        }
+    except (OSError, ValueError, KeyError, TypeError) as error:
+        raise TimelineError(f"no metric polarity from {path}: {error}")
+
+
+def perfbench_document(text: str, polarity: dict[str, str]) -> dict:
+    """The bench document of one perfbench run's stdout.
+
+    The first line is the settings header and the last the result JSON;
+    ``#`` lines between them are the human-readable copy.  A run that
+    was not correct is refused: its failed operations are billed 10 s
+    each, so its metrics are not timings.
+    """
+    lines = text.strip().splitlines()
+    settings = dict(
+        field.split("=", 1)
+        for field in lines[0][len(PERFBENCH_HEADER):].split()
+        if "=" in field
+    )
+    if "workload" not in settings:
+        raise TimelineError("perfbench header names no workload")
+    try:
+        result = json.loads(lines[-1])
+        metrics = {
+            name: float(metric["value"]) for name, metric in result["metrics"].items()
+        }
+    except (ValueError, KeyError, TypeError, AttributeError) as error:
+        raise TimelineError(f"perfbench capture has no result line ({error})")
+    if result.get("correct") is not True:
+        raise TimelineError(
+            f"perfbench run was not correct ({result.get('failed')} failed "
+            "operations); not recorded"
+        )
+    undeclared = sorted(set(metrics) - set(polarity))
+    if undeclared:
+        raise TimelineError(
+            f"{BENCHMARK_FILE} declares no polarity for {', '.join(undeclared)}"
+        )
+    return {
+        "bench": f"perfbench-{settings['workload']}",
+        "rows": [{"metric": name, "value": value} for name, value in metrics.items()],
+        "better": {name: polarity[name] for name in metrics},
+    }
+
+
 # -- metric extraction ---------------------------------------------------
 
 
@@ -59,7 +144,10 @@ def extract_metrics(document: dict) -> dict[str, float]:
             "not a bench document (missing 'bench'/'rows'); run the sweep "
             "with --json and pass that file"
         )
-    extractor = _EXTRACTORS.get(bench, _extract_generic)
+    if bench.startswith("perfbench-"):
+        extractor = _extract_perfbench
+    else:
+        extractor = _EXTRACTORS.get(bench, _extract_generic)
     metrics = extractor(document)
     if not metrics:
         raise TimelineError(f"bench {bench!r}: no timeline metrics found")
@@ -124,6 +212,10 @@ def _extract_chaos(document: dict) -> dict[str, float]:
     return metrics
 
 
+def _extract_perfbench(document: dict) -> dict[str, float]:
+    return {row["metric"]: row["value"] for row in document["rows"]}
+
+
 def _extract_generic(document: dict) -> dict[str, float]:
     """Fallback: every scalar numeric field of every row, index-keyed."""
     metrics: dict[str, float] = {}
@@ -151,15 +243,19 @@ def history_entry(
     document: dict, *, source: str | None = None, run: str | None = None
 ) -> dict:
     """One appendable history line for a bench document."""
-    return {
+    entry = {
         "history_schema": HISTORY_SCHEMA_VERSION,
         "bench": document["bench"],
-        "bench_schema": document.get("bench_schema"),
         "run": run or os.environ.get("GITHUB_RUN_ID") or f"local-{int(time.time())}",
         "source": source,
         "recorded": round(time.time(), 3),
         "metrics": extract_metrics(document),
     }
+    if document.get("bench_schema") is not None:
+        entry["bench_schema"] = document["bench_schema"]
+    if "better" in document:
+        entry["better"] = document["better"]
+    return entry
 
 
 def read_history(path: str | os.PathLike) -> list[dict]:
@@ -213,6 +309,7 @@ def compare(
         priors = runs[:-1][-window:]
         for metric in sorted(latest.get("metrics", {})):
             value = latest["metrics"][metric]
+            up = _entry_higher_is_better(latest, metric)
             prior_values = [
                 run["metrics"][metric]
                 for run in priors
@@ -222,12 +319,11 @@ def compare(
                 rows.append({
                     "bench": bench, "metric": metric, "value": value,
                     "median": None, "ratio": None,
-                    "direction": "up" if higher_is_better(metric) else "down",
+                    "direction": "up" if up else "down",
                     "regressed": False,
                 })
                 continue
             median = statistics.median(prior_values)
-            up = higher_is_better(metric)
             if median == 0 or value == 0:
                 # A zero on either side makes the ratio meaningless;
                 # report the delta but never gate on it.

@@ -192,7 +192,7 @@ class _StringTable:
         blob = reader.blob()
         if sum(lengths) != len(blob):
             raise CodecError("string table length mismatch")
-        offsets = list(accumulate(lengths, initial=0))
+        offsets = _cumulative(lengths)
         decoded = blob.decode("utf-8")
         table: list[str | None] = [None]
         if len(decoded) == len(blob):
@@ -299,14 +299,11 @@ class _IdInterner:
         return idx
 
 
-def _prefix_slices(counts) -> list[tuple[int, int]]:
-    """(start, stop) pairs into a flat column for per-row count columns."""
-    slices = []
-    offset = 0
-    for count in counts:
-        slices.append((offset, offset + count))
-        offset += count
-    return slices
+def _cumulative(counts) -> list[int]:
+    """Cumulative offsets of a per-row count column: row i spans
+    ``flat[cum[i]:cum[i + 1]]``.  One C-speed accumulate instead of a
+    Python list of (start, stop) tuples per row."""
+    return list(accumulate(counts, initial=0))
 
 
 def _enum_code(members: tuple, value) -> int:
@@ -632,15 +629,15 @@ def decode_measurements(payload: bytes) -> dict[str, DomainMeasurement]:
         cert_not_before = reader.u32s()
         cert_not_after = reader.u32s()
         cert_serial = reader.u64s()
-        cert_san_slices = _prefix_slices(reader.u32s())
+        cert_san_cum = _cumulative(reader.u32s())
         cert_san_flat = reader.u32s()
         certs: list[Certificate | None] = [None]
         for i in range(len(cert_cn)):
-            start, stop = cert_san_slices[i]
+            sans = cert_san_flat[cert_san_cum[i]:cert_san_cum[i + 1]]
             certs.append(
                 Certificate(
                     subject_cn=strings[cert_cn[i]],
-                    sans=tuple([strings[ref] for ref in cert_san_flat[start:stop]]),
+                    sans=tuple([strings[ref] for ref in sans]),
                     issuer=strings[cert_issuer[i]],
                     self_signed=bool(cert_self_signed[i]),
                     not_before=dates[cert_not_before[i]],
@@ -698,38 +695,36 @@ def decode_measurements(payload: bytes) -> dict[str, DomainMeasurement]:
 
         mx_name = reader.u32s()
         mx_preference = reader.i32s()
-        mx_ip_slices = _prefix_slices(reader.u32s())
+        mx_ip_cum = _cumulative(reader.u32s())
         mx_ip_flat = reader.u32s()
         mx_rows: list[MXData | None] = [None]
         for i in range(len(mx_name)):
-            start, stop = mx_ip_slices[i]
+            ips = mx_ip_flat[mx_ip_cum[i]:mx_ip_cum[i + 1]]
             mx_rows.append(
                 MXData(
                     name=strings[mx_name[i]],
                     preference=mx_preference[i],
-                    ips=tuple([observations[ref] for ref in mx_ip_flat[start:stop]]),
+                    ips=tuple([observations[ref] for ref in ips]),
                 )
             )
 
         dom_name = reader.u32s()
         dom_date = reader.u32s()
-        dom_mx_slices = _prefix_slices(reader.u32s())
+        dom_mx_cum = _cumulative(reader.u32s())
         dom_mx_flat = reader.u32s()
-        dom_txt_slices = _prefix_slices(reader.u32s())
+        dom_txt_cum = _cumulative(reader.u32s())
         dom_txt_flat = reader.u32s()
 
         measurements: dict[str, DomainMeasurement] = {}
         for i in range(len(dom_name)):
-            mx_start, mx_stop = dom_mx_slices[i]
-            txt_start, txt_stop = dom_txt_slices[i]
+            mx_refs = dom_mx_flat[dom_mx_cum[i]:dom_mx_cum[i + 1]]
+            txt_refs = dom_txt_flat[dom_txt_cum[i]:dom_txt_cum[i + 1]]
             domain = strings[dom_name[i]]
             measurements[domain] = DomainMeasurement(
                 domain=domain,
                 measured_on=dates[dom_date[i]],
-                mx_set=tuple([mx_rows[ref] for ref in dom_mx_flat[mx_start:mx_stop]]),
-                txt=tuple(
-                    [strings[ref] for ref in dom_txt_flat[txt_start:txt_stop]]
-                ),
+                mx_set=tuple([mx_rows[ref] for ref in mx_refs]),
+                txt=tuple([strings[ref] for ref in txt_refs]),
             )
     except IndexError as error:
         raise CodecError(f"dangling table reference: {error}") from error
@@ -893,11 +888,11 @@ class _InferenceDecoder:
             ip_banner_id = reader.u32s()
             ip_fingerprint = reader.u32s()
             ip_banner_fqdn = reader.u32s()
-            ip_name_slices = _prefix_slices(reader.u32s())
+            ip_name_cum = _cumulative(reader.u32s())
             ip_name_flat = reader.u32s()
             self.ip_identities: list[IPIdentity | None] = [None]
             for i in range(len(ip_addr)):
-                start, stop = ip_name_slices[i]
+                names = ip_name_flat[ip_name_cum[i]:ip_name_cum[i + 1]]
                 self.ip_identities.append(
                     IPIdentity(
                         address=self.text(ip_addr[i]),
@@ -905,30 +900,27 @@ class _InferenceDecoder:
                         banner_id=self.text(ip_banner_id[i]),
                         cert_fingerprint=self.text(ip_fingerprint[i]),
                         banner_fqdn=self.text(ip_banner_fqdn[i]),
-                        cert_names=tuple(
-                            self.text(ref) for ref in ip_name_flat[start:stop]
-                        ),
+                        cert_names=tuple(self.text(ref) for ref in names),
                     )
                 )
 
             mx_name = reader.u32s()
             mx_provider = reader.u32s()
             mx_source = reader.u8s()
-            mx_ip_slices = _prefix_slices(reader.u32s())
+            mx_ip_cum = _cumulative(reader.u32s())
             mx_ip_flat = reader.u32s()
             mx_flags = reader.u8s()
             mx_reason = reader.u32s()
             self.mx_identities: list[MXIdentity | None] = [None]
             for i in range(len(mx_name)):
-                start, stop = mx_ip_slices[i]
+                ips = mx_ip_flat[mx_ip_cum[i]:mx_ip_cum[i + 1]]
                 self.mx_identities.append(
                     MXIdentity(
                         mx_name=self.text(mx_name[i]),
                         provider_id=self.text(mx_provider[i]),
                         source=_enum_value(_EVIDENCE_SOURCES, mx_source[i]),
                         ip_identities=tuple(
-                            self.ip_identities[ref]
-                            for ref in mx_ip_flat[start:stop]
+                            self.ip_identities[ref] for ref in ips
                         ),
                         corrected=bool(mx_flags[i] & 1),
                         correction_reason=self.text(mx_reason[i]),
@@ -938,10 +930,10 @@ class _InferenceDecoder:
 
             self.inf_domain = reader.u32s()
             self.inf_status = reader.u8s()
-            self.inf_attr_slices = _prefix_slices(reader.u32s())
+            self.inf_attr_cum = _cumulative(reader.u32s())
             self.inf_attr_keys = reader.u32s()
             self.inf_attr_weights = reader.f64s()
-            self.inf_mx_slices = _prefix_slices(reader.u32s())
+            self.inf_mx_cum = _cumulative(reader.u32s())
             self.inf_mx_flat = reader.u32s()
         except IndexError as error:
             raise CodecError(f"dangling table reference: {error}") from error
@@ -954,21 +946,21 @@ class _InferenceDecoder:
 
     def inferences(self) -> dict[str, DomainInference]:
         result: dict[str, DomainInference] = {}
+        attr_cum = self.inf_attr_cum
+        mx_cum = self.inf_mx_cum
         try:
             for i in range(len(self.inf_domain)):
-                attr_start, attr_stop = self.inf_attr_slices[i]
-                mx_start, mx_stop = self.inf_mx_slices[i]
                 domain = self.text(self.inf_domain[i])
                 result[domain] = DomainInference(
                     domain=domain,
                     status=_enum_value(_DOMAIN_STATUSES, self.inf_status[i]),
                     attributions={
                         self.text(self.inf_attr_keys[j]): self.inf_attr_weights[j]
-                        for j in range(attr_start, attr_stop)
+                        for j in range(attr_cum[i], attr_cum[i + 1])
                     },
                     mx_identities=tuple(
                         self.mx_identities[ref]
-                        for ref in self.inf_mx_flat[mx_start:mx_stop]
+                        for ref in self.inf_mx_flat[mx_cum[i]:mx_cum[i + 1]]
                     ),
                 )
         except IndexError as error:

@@ -48,7 +48,6 @@ backed by an end-to-end equivalence test.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 
 from ..core.types import DomainInference, IPIdentity, MXIdentity
 from ..measure.caida import ASInfo
@@ -60,10 +59,10 @@ from .codec import (
     _EVIDENCE_SOURCES,
     _PORT_STATES,
     CodecError,
+    _cumulative,
     _DateTable,
     _decompress,
     _enum_value,
-    _prefix_slices,
     _stable_sig,
     _StringTable,
 )
@@ -101,16 +100,14 @@ class SnapshotView:
         self._strings = _StringTable.read(reader)
         self._dates = _DateTable.read(reader)
         try:
-            # Per-row count columns become cumulative-offset lists (row i
-            # spans flat[cum[i]:cum[i+1]]): one C-speed accumulate instead
-            # of a Python list of (start, stop) tuples per row.
+            # Per-row count columns become cumulative-offset lists.
             self._cert_cn = reader.u32s()
             self._cert_issuer = reader.u32s()
             self._cert_self_signed = reader.u8s()
             self._cert_not_before = reader.u32s()
             self._cert_not_after = reader.u32s()
             self._cert_serial = reader.u64s()
-            self._cert_san_cum = list(accumulate(reader.u32s(), initial=0))
+            self._cert_san_cum = _cumulative(reader.u32s())
             self._cert_san_flat = reader.u32s()
             self._scan_addr = reader.u32s()
             self._scan_date = reader.u32s()
@@ -127,13 +124,13 @@ class SnapshotView:
             self._obs_scan = reader.u32s()
             self._mx_name = reader.u32s()
             self._mx_preference = reader.i32s()
-            self._mx_ip_cum = list(accumulate(reader.u32s(), initial=0))
+            self._mx_ip_cum = _cumulative(reader.u32s())
             self._mx_ip_flat = reader.u32s()
             self._dom_name = reader.u32s()
             self._dom_date = reader.u32s()
-            self._dom_mx_cum = list(accumulate(reader.u32s(), initial=0))
+            self._dom_mx_cum = _cumulative(reader.u32s())
             self._dom_mx_flat = reader.u32s()
-            self._dom_txt_cum = list(accumulate(reader.u32s(), initial=0))
+            self._dom_txt_cum = _cumulative(reader.u32s())
             self._dom_txt_flat = reader.u32s()
             self._dom_sig = reader.u64s() if reader.remaining() else None
             self._cert_sig = reader.u64s() if reader.remaining() else None
@@ -531,21 +528,21 @@ class ResultView:
             self._ip_banner_id = reader.u32s()
             self._ip_fingerprint = reader.u32s()
             self._ip_banner_fqdn = reader.u32s()
-            self._ip_name_slices = _prefix_slices(reader.u32s())
+            self._ip_name_cum = _cumulative(reader.u32s())
             self._ip_name_flat = reader.u32s()
             self._mx_name = reader.u32s()
             self._mx_provider = reader.u32s()
             self._mx_source = reader.u8s()
-            self._mx_ip_slices = _prefix_slices(reader.u32s())
+            self._mx_ip_cum = _cumulative(reader.u32s())
             self._mx_ip_flat = reader.u32s()
             self._mx_flags = reader.u8s()
             self._mx_reason = reader.u32s()
             self._inf_domain = reader.u32s()
             self._inf_status = reader.u8s()
-            self._inf_attr_slices = _prefix_slices(reader.u32s())
+            self._inf_attr_cum = _cumulative(reader.u32s())
             self._inf_attr_keys = reader.u32s()
             self._inf_attr_weights = reader.f64s()
-            self._inf_mx_slices = _prefix_slices(reader.u32s())
+            self._inf_mx_cum = _cumulative(reader.u32s())
             self._inf_mx_flat = reader.u32s()
             if reader.remaining():
                 self._res_keys = reader.u32s()
@@ -578,19 +575,19 @@ class ResultView:
         i = self._row_of.get(domain)
         if i is None:
             return None
+        attr_cum = self._inf_attr_cum
+        mx_cum = self._inf_mx_cum
         try:
-            attr_start, attr_stop = self._inf_attr_slices[i]
-            mx_start, mx_stop = self._inf_mx_slices[i]
             return DomainInference(
                 domain=domain,
                 status=_enum_value(_DOMAIN_STATUSES, self._inf_status[i]),
                 attributions={
                     self._strings[self._inf_attr_keys[j]]: self._inf_attr_weights[j]
-                    for j in range(attr_start, attr_stop)
+                    for j in range(attr_cum[i], attr_cum[i + 1])
                 },
                 mx_identities=tuple(
                     self._mx_identity(ref)
-                    for ref in self._inf_mx_flat[mx_start:mx_stop]
+                    for ref in self._inf_mx_flat[mx_cum[i]:mx_cum[i + 1]]
                 ),
             )
         except IndexError as error:
@@ -603,12 +600,12 @@ class ResultView:
         statuses: dict[str, int] = {}
         weights: dict[str, float] = {}
         backing: dict[str, int] = {}
+        attr_cum = self._inf_attr_cum
         try:
             for i in range(len(self._inf_domain)):
                 status = _enum_value(_DOMAIN_STATUSES, self._inf_status[i]).value
                 statuses[status] = statuses.get(status, 0) + 1
-                start, stop = self._inf_attr_slices[i]
-                for j in range(start, stop):
+                for j in range(attr_cum[i], attr_cum[i + 1]):
                     provider = self._strings[self._inf_attr_keys[j]]
                     weights[provider] = (
                         weights.get(provider, 0.0) + self._inf_attr_weights[j]
@@ -636,16 +633,14 @@ class ResultView:
         row = self._ip_objs.get(ref)
         if row is None:
             i = ref - 1
-            start, stop = self._ip_name_slices[i]
+            names = self._ip_name_flat[self._ip_name_cum[i]:self._ip_name_cum[i + 1]]
             row = IPIdentity(
                 address=self._strings[self._ip_addr[i]],
                 cert_id=self._strings[self._ip_cert_id[i]],
                 banner_id=self._strings[self._ip_banner_id[i]],
                 cert_fingerprint=self._strings[self._ip_fingerprint[i]],
                 banner_fqdn=self._strings[self._ip_banner_fqdn[i]],
-                cert_names=tuple(
-                    self._strings[r] for r in self._ip_name_flat[start:stop]
-                ),
+                cert_names=tuple(self._strings[r] for r in names),
             )
             self._ip_objs[ref] = row
         return row
@@ -654,15 +649,13 @@ class ResultView:
         row = self._mx_objs.get(ref)
         if row is None:
             i = ref - 1
-            start, stop = self._mx_ip_slices[i]
+            ips = self._mx_ip_flat[self._mx_ip_cum[i]:self._mx_ip_cum[i + 1]]
             flags = self._mx_flags[i]
             row = MXIdentity(
                 mx_name=self._strings[self._mx_name[i]],
                 provider_id=self._strings[self._mx_provider[i]],
                 source=_enum_value(_EVIDENCE_SOURCES, self._mx_source[i]),
-                ip_identities=tuple(
-                    self._ip_identity(r) for r in self._mx_ip_flat[start:stop]
-                ),
+                ip_identities=tuple(self._ip_identity(r) for r in ips),
                 corrected=bool(flags & 1),
                 correction_reason=self._strings[self._mx_reason[i]],
                 examined=bool(flags & 2),

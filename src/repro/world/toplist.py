@@ -10,15 +10,17 @@ records throughout.  This module reproduces that corpus construction:
   ephemeral "churner" domains that only appear on some snapshots;
 * :func:`stable_domains` recovers the cross-snapshot-stable subset;
 * :func:`build_study_corpus` applies the full §4.1 recipe
-  (toplist-stable ∩ MX-stable) and reports the funnel counts.
+  (toplist-stable ∩ MX-stable) and reports the funnel counts.  The
+  MX-stability filter is the caller's: the study reads it from the stored
+  per-snapshot inference statuses (``experiments.sec41_corpus``).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Callable
 
-from ..measure.openintel import OpenINTELPlatform
 from .build import World
 from .entities import DatasetTag
 from .evolve import domain_fingerprint
@@ -118,18 +120,22 @@ class CorpusFunnel:
 
 def build_study_corpus(
     world: World,
-    openintel: OpenINTELPlatform,
+    mx_stable_filter: Callable[[list[str]], list[str]],
     churn_rate: float = 0.25,
     seed: int = 2021,
 ) -> CorpusFunnel:
-    """Apply the paper's full corpus recipe: list-stable ∩ MX-stable."""
+    """Apply the paper's full corpus recipe: list-stable ∩ MX-stable.
+
+    *mx_stable_filter* maps the list-stable domains, in order, to those
+    publishing MX records at every snapshot that covers them.
+    """
     simulator = ToplistSimulator(world, churn_rate=churn_rate, seed=seed)
     toplists = simulator.all_snapshots()
     union: set[str] = set()
     for entries in toplists:
         union |= {entry.domain for entry in entries}
     list_stable = stable_domains(toplists)
-    mx_stable = openintel.stable_domains(list_stable)
+    mx_stable = mx_stable_filter(list_stable)
     return CorpusFunnel(
         union_domains=len(union),
         list_stable=len(list_stable),

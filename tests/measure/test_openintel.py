@@ -69,12 +69,6 @@ class TestBatchAndStability:
         results = platform.measure(["example.com", "agency.gov"], 0)
         assert set(results) == {"example.com"}
 
-    def test_stable_domains(self, platform):
-        stable = platform.stable_domains(
-            ["example.com", "nomail.example.com", "agency.gov"]
-        )
-        assert stable == ["example.com", "agency.gov"]
-
     def test_most_preferred(self, platform):
         record = platform.measure_domain("example.com", 0)
         assert [mx.name for mx in record.most_preferred] == ["mx1.example.com"]

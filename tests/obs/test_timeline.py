@@ -158,3 +158,92 @@ class TestCli:
         assert obs_main(
             ["timeline", "--history", str(tmp_path / "none.jsonl")]
         ) == 2
+
+
+PERFBENCH_HEADER = (
+    "# perfbench workload=reproduce seed=3 seconds=30 trace=0 world_seed=7 "
+    "scale=2 nproc=2 python=3.11.7"
+)
+
+
+def perfbench_out(warm_s=3.1, hit_ratio=0.9, correct=True):
+    """A perfbench stdout capture: header, '#' copy, result line."""
+    result = {
+        "correct": correct,
+        "attempted": 1200,
+        "failed": 0 if correct else 4,
+        "metrics": {
+            "warm_s": {"value": warm_s, "unit": "s"},
+            "store.hit_ratio": {"value": hit_ratio, "unit": "ratio"},
+        },
+    }
+    return "\n".join([
+        PERFBENCH_HEADER,
+        f"# warm_s {warm_s:.6f} s n=1",
+        f"# store.hit_ratio {hit_ratio:.6f} ratio n=1",
+        "# attempted 1200  failed 0 (0.000%)",
+        json.dumps(result),
+    ]) + "\n"
+
+
+BENCHMARK = {
+    "end_to_end": [{"name": "warm_s", "unit": "s", "better": "lower", "bound": 0.25}],
+    "per_layer": [{"name": "store.hit_ratio", "unit": "ratio", "better": "higher"}],
+}
+
+
+class TestPerfbenchCapture:
+    def _setup(self, tmp_path, *captures):
+        (tmp_path / "BENCHMARK.json").write_text(json.dumps(BENCHMARK))
+        paths = []
+        for index, text in enumerate(captures):
+            path = tmp_path / f"run{index}.txt"
+            path.write_text(text)
+            paths.append(str(path))
+        return str(tmp_path / "BENCH_history.jsonl"), paths
+
+    def test_capture_becomes_a_workload_bench(self, tmp_path):
+        history, (path,) = self._setup(tmp_path, perfbench_out())
+        assert obs_main(
+            ["timeline", path, "--history", history, "--add", "--run", "p1"]
+        ) == 0
+        (entry,) = timeline.read_history(history)
+        assert validate(entry, HISTORY_EVENT_SCHEMA) == []
+        assert entry["bench"] == "perfbench-reproduce"
+        assert entry["run"] == "p1"
+        assert entry["metrics"] == {"warm_s": 3.1, "store.hit_ratio": 0.9}
+        assert entry["better"] == {"warm_s": "lower", "store.hit_ratio": "higher"}
+
+    def test_polarity_comes_from_the_benchmark(self, tmp_path):
+        # By name alone a *_ratio reads as lower-is-better.
+        assert not timeline.higher_is_better("store.hit_ratio")
+        _history, paths = self._setup(
+            tmp_path, perfbench_out(hit_ratio=0.9), perfbench_out(hit_ratio=0.3)
+        )
+        benchmark = tmp_path / "BENCHMARK.json"
+        entries = [
+            timeline.history_entry(timeline.load_document(path, benchmark), run=path)
+            for path in paths
+        ]
+        bad = timeline.regressions(timeline.compare(entries))
+        assert [row["metric"] for row in bad] == ["store.hit_ratio"]
+        rising = [entries[1], entries[0]]
+        assert not timeline.regressions(timeline.compare(rising))
+
+    def test_incorrect_run_refused(self, tmp_path, capsys):
+        history, (path,) = self._setup(tmp_path, perfbench_out(correct=False))
+        assert obs_main(["timeline", path, "--history", history, "--add"]) == 2
+        assert "not correct" in capsys.readouterr().err
+        assert timeline.read_history(history) == []
+
+    def test_undeclared_metric_refused(self, tmp_path):
+        with pytest.raises(timeline.TimelineError, match="warm_s"):
+            timeline.perfbench_document(
+                perfbench_out(), {"store.hit_ratio": "higher"}
+            )
+
+    def test_missing_benchmark_refused(self, tmp_path):
+        path = tmp_path / "run.txt"
+        path.write_text(perfbench_out())
+        with pytest.raises(timeline.TimelineError, match="polarity"):
+            timeline.load_document(path, tmp_path / "BENCHMARK.json")

@@ -1,7 +1,10 @@
 """Unit tests for toplist churn and stable-corpus construction (§4.1)."""
 
+from functools import partial
+
 import pytest
 
+from repro.experiments.sec41_corpus import mx_stable_domains
 from repro.world.entities import DatasetTag
 from repro.world.population import NUM_SNAPSHOTS
 from repro.world.toplist import (
@@ -74,7 +77,7 @@ class TestStableDomains:
 
 class TestCorpusFunnel:
     def test_full_recipe(self, ctx):
-        funnel = build_study_corpus(ctx.world, ctx.gatherer.openintel)
+        funnel = build_study_corpus(ctx.world, partial(mx_stable_domains, ctx))
         # Funnel narrows monotonically, as in §4.1.
         assert funnel.union_domains > funnel.list_stable >= funnel.mx_stable
         assert funnel.churn_loss > 0
@@ -84,7 +87,7 @@ class TestCorpusFunnel:
         assert funnel.mx_stable > funnel.list_stable * 0.9
 
     def test_corpus_members_have_mx_everywhere(self, ctx):
-        funnel = build_study_corpus(ctx.world, ctx.gatherer.openintel)
+        funnel = build_study_corpus(ctx.world, partial(mx_stable_domains, ctx))
         for domain in funnel.corpus[:20]:
             for index in range(NUM_SNAPSHOTS):
                 record = ctx.gatherer.openintel.measure_domain(domain, index)
