@@ -26,6 +26,7 @@ from ..obs import live as obs_live
 from ..obs import provenance as obs_provenance
 from ..obs import trace as obs_trace
 from ..store import ArtifactStore, CodecError, ResultView, SnapshotView, encode_result
+from ..store.codec import _provider_stats
 from ..world.build import WorldConfig
 from ..world.entities import DatasetTag
 from ..world.population import GOV_FIRST_SNAPSHOT, NUM_SNAPSHOTS, SNAPSHOT_DATES
@@ -438,7 +439,10 @@ class InferenceService:
                 and not self._ingesting
                 and state.snapshot_index == snapshot_index
             ):
-                stats = _stats_from_inferences(state.result.inferences)
+                stats = _provider_stats(
+                    (inference.status.value, inference.attributions.items())
+                    for inference in state.result.inferences.values()
+                )
                 source = "live"
             else:
                 view = self._result_view(dataset, snapshot_index)
@@ -980,25 +984,3 @@ class InferenceService:
                 code="not-found",
             )
         return tree
-
-
-def _stats_from_inferences(inferences: dict[str, DomainInference]) -> dict:
-    """The live-map twin of :meth:`ResultView.provider_stats`."""
-    statuses: dict[str, int] = {}
-    weights: dict[str, float] = {}
-    backing: dict[str, int] = {}
-    for inference in inferences.values():
-        statuses[inference.status.value] = statuses.get(inference.status.value, 0) + 1
-        for provider, weight in inference.attributions.items():
-            weights[provider] = weights.get(provider, 0.0) + weight
-            backing[provider] = backing.get(provider, 0) + 1
-    top = sorted(weights.items(), key=lambda item: (-item[1], item[0]))
-    return {
-        "domains": len(inferences),
-        "statuses": dict(sorted(statuses.items())),
-        "providers": len(weights),
-        "top": [
-            {"provider": provider, "weight": round(weight, 4), "domains": backing[provider]}
-            for provider, weight in top[:20]
-        ],
-    }

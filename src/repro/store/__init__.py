@@ -23,6 +23,8 @@ from .artifacts import (
 from .codec import (
     CODEC_VERSION,
     CodecError,
+    ResultView,
+    SnapshotView,
     decode_inferences,
     decode_measurements,
     decode_result,
@@ -30,7 +32,7 @@ from .codec import (
     encode_measurements,
     encode_result,
 )
-from .delta import DeltaReport, ResultView, SnapshotView, diff, diff_signatures
+from .delta import DeltaReport, diff, diff_signatures
 
 __all__ = [
     "ArtifactStore",

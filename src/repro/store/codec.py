@@ -6,18 +6,30 @@ domains in every corpus and snapshot.  Naive pickling writes each object
 graph reference-by-reference; this codec instead writes **interned
 tables** (strings, dates, certificates, scan records, AS records,
 observations, MX rows) followed by packed index columns, then compresses
-the whole payload.  The result is several times smaller than a pickle of
-the same snapshot and decodes by constructing each unique object exactly
-once, sharing it across every referencing domain — the same sharing the
+the whole payload.  Decoding constructs each unique object exactly once
+and shares it across every referencing domain — the same sharing the
 memoizing gatherer produces.
 
+This module owns the layout: each payload format has one encoder and
+one reader.  :class:`SnapshotView` reads measurement payloads and
+:class:`ResultView` reads result and baseline payloads; both keep the
+raw columns and build objects only for the rows asked for, and
+:func:`decode_measurements`, :func:`decode_result` and
+:func:`decode_inferences` are their full materializations.  Any
+reference outside its table — including a null reference in a column
+that cannot hold None — raises :class:`CodecError`, never a silently
+wrong object graph.
+
 Decoding is exact: round-tripped snapshots compare equal (and ``repr``
--identical) to the originals, so inferences computed from a decoded
-snapshot are byte-identical to inferences computed from a fresh gather.
+-identical) to the originals, and re-encoding a decoded value yields the
+same bytes, so inferences computed from a decoded snapshot are
+byte-identical to inferences computed from a fresh gather.
 
 Layout stability is versioned by :data:`CODEC_VERSION`; the store folds it
 into both the cache key and the on-disk envelope, so a codec change
-cleanly invalidates old entries instead of misdecoding them.
+cleanly invalidates old entries instead of misdecoding them.  Version 3
+made the two trailing signature columns of measurement payloads
+required.
 """
 
 from __future__ import annotations
@@ -43,7 +55,7 @@ from ..measure.censys import Port25State, PortScanRecord
 from ..measure.dataset import DomainMeasurement, IPObservation, MXData
 from ..tls.cert import Certificate
 
-CODEC_VERSION = 2
+CODEC_VERSION = 3
 
 # Enum codes are positional; reordering a member is a schema change and
 # must bump CODEC_VERSION.
@@ -363,10 +375,10 @@ def encode_measurements(measurements: dict[str, DomainMeasurement]) -> bytes:
     Alongside the interned tables, a per-domain **evidence signature**
     column is computed bottom-up (cert content with validity bit, scan,
     AS, observation, MX) and appended to the payload, so delta detection
-    (:meth:`repro.store.delta.SnapshotView.signatures`) is an array read
-    instead of a full column walk.  Signatures are deterministic across
-    processes (:func:`_stable_sig`); measurement dates are excluded
-    except through each certificate's validity-window bit — see the
+    (:meth:`SnapshotView.signatures`) is an array read instead of a full
+    column walk.  Signatures are deterministic across processes
+    (:func:`_stable_sig`); measurement dates are excluded except through
+    each certificate's validity-window bit — see the
     :mod:`repro.store.delta` module docstring for the exact semantics.
     """
     strings = _StringTable()
@@ -601,134 +613,289 @@ def encode_measurements(measurements: dict[str, DomainMeasurement]) -> bytes:
     writer.u32s(dom_mx_flat)
     writer.u32s(dom_txt_counts)
     writer.u32s(dom_txt_flat)
-    # Trailing columns: decode_measurements ignores them; SnapshotView
-    # reads them (or recomputes the same values for payloads that predate
-    # them).  Per-domain evidence signatures drive delta detection; per-row
-    # certificate signatures let incremental ingest carry certificate
-    # grouping metadata across snapshots without materializing the table.
+    # Trailing columns, required since CODEC_VERSION 3.  Per-domain
+    # evidence signatures drive delta detection; per-row certificate
+    # signatures let incremental ingest carry certificate grouping
+    # metadata across snapshots without materializing the table.
     writer.u64s(dom_sig)
     writer.u64s(cert_sigs[1:])
     return _compress(writer)
 
 
+class SnapshotView:
+    """Column-space view of one encoded measurement payload."""
+
+    def __init__(self, payload: bytes) -> None:
+        reader = _decompress(payload)
+        self._strings = _StringTable.read(reader)
+        self._dates = _DateTable.read(reader)
+        try:
+            # Per-row count columns become cumulative-offset lists.
+            self._cert_cn = reader.u32s()
+            self._cert_issuer = reader.u32s()
+            self._cert_self_signed = reader.u8s()
+            self._cert_not_before = reader.u32s()
+            self._cert_not_after = reader.u32s()
+            self._cert_serial = reader.u64s()
+            self._cert_san_cum = _cumulative(reader.u32s())
+            self._cert_san_flat = reader.u32s()
+            self._scan_addr = reader.u32s()
+            self._scan_date = reader.u32s()
+            self._scan_state = reader.u8s()
+            self._scan_banner = reader.u32s()
+            self._scan_ehlo = reader.u32s()
+            self._scan_starttls = reader.u8s()
+            self._scan_cert = reader.u32s()
+            self._as_asn = reader.u64s()
+            self._as_name = reader.u32s()
+            self._as_country = reader.u32s()
+            self._obs_addr = reader.u32s()
+            self._obs_as = reader.u32s()
+            self._obs_scan = reader.u32s()
+            self._mx_name = reader.u32s()
+            self._mx_preference = reader.i32s()
+            self._mx_ip_cum = _cumulative(reader.u32s())
+            self._mx_ip_flat = reader.u32s()
+            self._dom_name = reader.u32s()
+            self._dom_date = reader.u32s()
+            self._dom_mx_cum = _cumulative(reader.u32s())
+            self._dom_mx_flat = reader.u32s()
+            self._dom_txt_cum = _cumulative(reader.u32s())
+            self._dom_txt_flat = reader.u32s()
+            self._dom_sig = reader.u64s()
+            self._cert_sig = reader.u64s()
+            strings = self._strings
+            self.domains: tuple[str, ...] = tuple(
+                [strings[ref] for ref in self._dom_name]
+            )
+        except IndexError as error:
+            raise CodecError(f"dangling table reference: {error}") from error
+        self._row_of = {domain: i for i, domain in enumerate(self.domains)}
+        self._signatures: dict[str, int] | None = None
+        # Per-row object memos: materialized rows are shared between
+        # domains exactly as the gatherer shares them, and between
+        # successive materialize() calls on the same view.
+        self._cert_objs: dict[int, Certificate] = {}
+        self._scan_objs: dict[int, PortScanRecord] = {}
+        self._as_objs: dict[int, ASInfo] = {}
+        self._obs_objs: dict[int, IPObservation] = {}
+        self._mx_objs: dict[int, MXData] = {}
+
+    # -- metadata --------------------------------------------------------
+
+    def __len__(self) -> int:
+        return len(self.domains)
+
+    def __contains__(self, domain: str) -> bool:
+        return domain in self._row_of
+
+    def measured_on(self, domain: str):
+        try:
+            return self._dates[self._dom_date[self._row_of[domain]]]
+        except IndexError as error:
+            raise CodecError(f"bad date reference: {error}") from error
+
+    # -- signatures ------------------------------------------------------
+
+    def signatures(self) -> dict[str, int]:
+        """Per-domain evidence signature, in payload (snapshot) order.
+
+        The encoder embeds the column (:func:`encode_measurements`), so
+        this is one ``dict(zip(...))``.
+        """
+        if self._signatures is not None:
+            return self._signatures
+        if len(self._dom_sig) != len(self.domains):
+            raise CodecError(
+                f"signature column length {len(self._dom_sig)} != "
+                f"{len(self.domains)} domains"
+            )
+        self._signatures = dict(zip(self.domains, self._dom_sig))
+        return self._signatures
+
+    def cert_sigs(self):
+        """Per-certificate-row content signature, in table order.
+
+        Entry *i* describes table row ``i + 1`` (reference space reserves
+        0 for None).  Treat the returned sequence as read-only.
+        """
+        if len(self._cert_sig) != len(self._cert_cn):
+            raise CodecError(
+                f"certificate signature column length "
+                f"{len(self._cert_sig)} != {len(self._cert_cn)} rows"
+            )
+        return self._cert_sig
+
+    # -- partial materialization ----------------------------------------
+
+    def certificates(self) -> list[Certificate]:
+        """The payload's unique-certificate table, in table order.
+
+        Step-1 grouping (:meth:`CertificatePreprocessor.build`) dedups by
+        fingerprint before counting, so the unique table stands in for the
+        full occurrence stream without changing any group.
+        """
+        return [self._cert(i + 1) for i in range(len(self._cert_cn))]
+
+    def certificate(self, row: int) -> Certificate:
+        """Certificate table row *row* (0-based, matching ``cert_sigs()``)."""
+        if not 0 <= row < len(self._cert_cn):
+            raise IndexError(f"certificate row {row} out of range")
+        return self._cert(row + 1)
+
+    def materialize(
+        self, wanted=None
+    ) -> dict[str, DomainMeasurement]:
+        """Object graphs for *wanted* domains (all when None), payload order.
+
+        Shared rows decode once: two domains behind the same MX receive
+        the identical :class:`MXData` object, as they did when gathered.
+        With no *wanted* this is :func:`decode_measurements`.
+        """
+        try:
+            if wanted is None:
+                rows = range(len(self.domains))
+            else:
+                rows = sorted(
+                    self._row_of[domain] for domain in wanted
+                )
+            out: dict[str, DomainMeasurement] = {}
+            dom_mx_cum = self._dom_mx_cum
+            dom_txt_cum = self._dom_txt_cum
+            for i in rows:
+                domain = self.domains[i]
+                mx_start = dom_mx_cum[i]
+                mx_stop = dom_mx_cum[i + 1]
+                txt_start = dom_txt_cum[i]
+                txt_stop = dom_txt_cum[i + 1]
+                row = DomainMeasurement.__new__(DomainMeasurement)
+                row.__dict__.update(
+                    domain=domain,
+                    measured_on=self._dates[self._dom_date[i]],
+                    mx_set=tuple(
+                        self._mx(ref)
+                        for ref in self._dom_mx_flat[mx_start:mx_stop]
+                    ),
+                    txt=tuple(
+                        self._strings[ref]
+                        for ref in self._dom_txt_flat[txt_start:txt_stop]
+                    ),
+                )
+                out[domain] = row
+        except KeyError as error:
+            raise KeyError(f"domain not in snapshot payload: {error}") from error
+        except IndexError as error:
+            raise CodecError(f"dangling table reference: {error}") from error
+        return out
+
+    def _cert(self, ref: int) -> Certificate | None:
+        if not ref:
+            return None
+        row = self._cert_objs.get(ref)
+        if row is None:
+            i = ref - 1
+            start = self._cert_san_cum[i]
+            stop = self._cert_san_cum[i + 1]
+            not_before = self._dates[self._cert_not_before[i]]
+            not_after = self._dates[self._cert_not_after[i]]
+            if not_after < not_before:
+                raise CodecError(f"certificate row {ref}: inverted validity window")
+            # Payload values already passed Certificate.__post_init__ on
+            # the encode side (names normalized), so re-running it — and
+            # the frozen-dataclass setattr per field — would only burn
+            # time; the window check above is the one guard it held.
+            # Field-wise __eq__/__hash__ make the result indistinguishable
+            # from a constructed instance.
+            row = Certificate.__new__(Certificate)
+            row.__dict__.update(
+                subject_cn=self._strings[self._cert_cn[i]],
+                sans=tuple(
+                    self._strings[r] for r in self._cert_san_flat[start:stop]
+                ),
+                issuer=self._strings[self._cert_issuer[i]],
+                self_signed=bool(self._cert_self_signed[i]),
+                not_before=not_before,
+                not_after=not_after,
+                serial=self._cert_serial[i],
+            )
+            self._cert_objs[ref] = row
+        return row
+
+    def _scan(self, ref: int) -> PortScanRecord | None:
+        if not ref:
+            return None
+        row = self._scan_objs.get(ref)
+        if row is None:
+            i = ref - 1
+            # Same __init__ bypass as _cert: __post_init__ already nulled
+            # non-OPEN evidence before the row was encoded, so re-running
+            # it is a no-op on every stored record.
+            row = PortScanRecord.__new__(PortScanRecord)
+            row.__dict__.update(
+                address=self._strings[self._scan_addr[i]],
+                scanned_on=self._dates[self._scan_date[i]],
+                state=_enum_value(_PORT_STATES, self._scan_state[i]),
+                banner=self._strings[self._scan_banner[i]],
+                ehlo=self._strings[self._scan_ehlo[i]],
+                starttls=bool(self._scan_starttls[i]),
+                certificate=self._cert(self._scan_cert[i]),
+            )
+            self._scan_objs[ref] = row
+        return row
+
+    def _as_info(self, ref: int) -> ASInfo | None:
+        if not ref:
+            return None
+        row = self._as_objs.get(ref)
+        if row is None:
+            i = ref - 1
+            row = ASInfo.__new__(ASInfo)
+            row.__dict__.update(
+                asn=self._as_asn[i],
+                name=self._strings[self._as_name[i]],
+                country=self._strings[self._as_country[i]],
+            )
+            self._as_objs[ref] = row
+        return row
+
+    def _obs(self, ref: int) -> IPObservation:
+        row = self._obs_objs.get(ref)
+        if row is None:
+            if not ref:
+                raise CodecError("null observation reference")
+            i = ref - 1
+            row = IPObservation.__new__(IPObservation)
+            row.__dict__.update(
+                address=self._strings[self._obs_addr[i]],
+                as_info=self._as_info(self._obs_as[i]),
+                scan=self._scan(self._obs_scan[i]),
+            )
+            self._obs_objs[ref] = row
+        return row
+
+    def _mx(self, ref: int) -> MXData:
+        row = self._mx_objs.get(ref)
+        if row is None:
+            if not ref:
+                raise CodecError("null MX reference")
+            i = ref - 1
+            start = self._mx_ip_cum[i]
+            stop = self._mx_ip_cum[i + 1]
+            row = MXData.__new__(MXData)
+            row.__dict__.update(
+                name=self._strings[self._mx_name[i]],
+                preference=self._mx_preference[i],
+                ips=tuple(
+                    self._obs(r) for r in self._mx_ip_flat[start:stop]
+                ),
+            )
+            self._mx_objs[ref] = row
+        return row
+
+
 def decode_measurements(payload: bytes) -> dict[str, DomainMeasurement]:
-    """Rebuild a measurement dict; inverse of :func:`encode_measurements`.
-
-    Any reference beyond its table (a corrupt payload that slipped past
-    the envelope checksum) raises :class:`CodecError` via the IndexError
-    guards — never a silently wrong object graph.
-    """
-    reader = _decompress(payload)
-    strings = _StringTable.read(reader)
-    dates = _DateTable.read(reader)
-
-    try:
-        cert_cn = reader.u32s()
-        cert_issuer = reader.u32s()
-        cert_self_signed = reader.u8s()
-        cert_not_before = reader.u32s()
-        cert_not_after = reader.u32s()
-        cert_serial = reader.u64s()
-        cert_san_cum = _cumulative(reader.u32s())
-        cert_san_flat = reader.u32s()
-        certs: list[Certificate | None] = [None]
-        for i in range(len(cert_cn)):
-            sans = cert_san_flat[cert_san_cum[i]:cert_san_cum[i + 1]]
-            certs.append(
-                Certificate(
-                    subject_cn=strings[cert_cn[i]],
-                    sans=tuple([strings[ref] for ref in sans]),
-                    issuer=strings[cert_issuer[i]],
-                    self_signed=bool(cert_self_signed[i]),
-                    not_before=dates[cert_not_before[i]],
-                    not_after=dates[cert_not_after[i]],
-                    serial=cert_serial[i],
-                )
-            )
-
-        scan_addr = reader.u32s()
-        scan_date = reader.u32s()
-        scan_state = reader.u8s()
-        scan_banner = reader.u32s()
-        scan_ehlo = reader.u32s()
-        scan_starttls = reader.u8s()
-        scan_cert = reader.u32s()
-        scans: list[PortScanRecord | None] = [None]
-        for i in range(len(scan_addr)):
-            scans.append(
-                PortScanRecord(
-                    address=strings[scan_addr[i]],
-                    scanned_on=dates[scan_date[i]],
-                    state=_enum_value(_PORT_STATES, scan_state[i]),
-                    banner=strings[scan_banner[i]],
-                    ehlo=strings[scan_ehlo[i]],
-                    starttls=bool(scan_starttls[i]),
-                    certificate=certs[scan_cert[i]],
-                )
-            )
-
-        as_asn = reader.u64s()
-        as_name = reader.u32s()
-        as_country = reader.u32s()
-        asinfos: list[ASInfo | None] = [None]
-        for i in range(len(as_asn)):
-            asinfos.append(
-                ASInfo(
-                    asn=as_asn[i],
-                    name=strings[as_name[i]],
-                    country=strings[as_country[i]],
-                )
-            )
-
-        obs_addr = reader.u32s()
-        obs_as = reader.u32s()
-        obs_scan = reader.u32s()
-        observations: list[IPObservation | None] = [None]
-        for i in range(len(obs_addr)):
-            observations.append(
-                IPObservation(
-                    address=strings[obs_addr[i]],
-                    as_info=asinfos[obs_as[i]],
-                    scan=scans[obs_scan[i]],
-                )
-            )
-
-        mx_name = reader.u32s()
-        mx_preference = reader.i32s()
-        mx_ip_cum = _cumulative(reader.u32s())
-        mx_ip_flat = reader.u32s()
-        mx_rows: list[MXData | None] = [None]
-        for i in range(len(mx_name)):
-            ips = mx_ip_flat[mx_ip_cum[i]:mx_ip_cum[i + 1]]
-            mx_rows.append(
-                MXData(
-                    name=strings[mx_name[i]],
-                    preference=mx_preference[i],
-                    ips=tuple([observations[ref] for ref in ips]),
-                )
-            )
-
-        dom_name = reader.u32s()
-        dom_date = reader.u32s()
-        dom_mx_cum = _cumulative(reader.u32s())
-        dom_mx_flat = reader.u32s()
-        dom_txt_cum = _cumulative(reader.u32s())
-        dom_txt_flat = reader.u32s()
-
-        measurements: dict[str, DomainMeasurement] = {}
-        for i in range(len(dom_name)):
-            mx_refs = dom_mx_flat[dom_mx_cum[i]:dom_mx_cum[i + 1]]
-            txt_refs = dom_txt_flat[dom_txt_cum[i]:dom_txt_cum[i + 1]]
-            domain = strings[dom_name[i]]
-            measurements[domain] = DomainMeasurement(
-                domain=domain,
-                measured_on=dates[dom_date[i]],
-                mx_set=tuple([mx_rows[ref] for ref in mx_refs]),
-                txt=tuple([strings[ref] for ref in txt_refs]),
-            )
-    except IndexError as error:
-        raise CodecError(f"dangling table reference: {error}") from error
-    return measurements
+    """Rebuild a measurement dict; inverse of :func:`encode_measurements`."""
+    return SnapshotView(payload).materialize()
 
 
 # ---------------------------------------------------------------------------
@@ -875,99 +1042,6 @@ class _InferenceEncoder:
         writer.u32s(self.inf_mx_flat)
 
 
-class _InferenceDecoder:
-    """Reads the columns written by :class:`_InferenceEncoder`."""
-
-    def __init__(self, reader: _Reader) -> None:
-        self.reader = reader
-        self.strings = _StringTable.read(reader)
-
-        try:
-            ip_addr = reader.u32s()
-            ip_cert_id = reader.u32s()
-            ip_banner_id = reader.u32s()
-            ip_fingerprint = reader.u32s()
-            ip_banner_fqdn = reader.u32s()
-            ip_name_cum = _cumulative(reader.u32s())
-            ip_name_flat = reader.u32s()
-            self.ip_identities: list[IPIdentity | None] = [None]
-            for i in range(len(ip_addr)):
-                names = ip_name_flat[ip_name_cum[i]:ip_name_cum[i + 1]]
-                self.ip_identities.append(
-                    IPIdentity(
-                        address=self.text(ip_addr[i]),
-                        cert_id=self.text(ip_cert_id[i]),
-                        banner_id=self.text(ip_banner_id[i]),
-                        cert_fingerprint=self.text(ip_fingerprint[i]),
-                        banner_fqdn=self.text(ip_banner_fqdn[i]),
-                        cert_names=tuple(self.text(ref) for ref in names),
-                    )
-                )
-
-            mx_name = reader.u32s()
-            mx_provider = reader.u32s()
-            mx_source = reader.u8s()
-            mx_ip_cum = _cumulative(reader.u32s())
-            mx_ip_flat = reader.u32s()
-            mx_flags = reader.u8s()
-            mx_reason = reader.u32s()
-            self.mx_identities: list[MXIdentity | None] = [None]
-            for i in range(len(mx_name)):
-                ips = mx_ip_flat[mx_ip_cum[i]:mx_ip_cum[i + 1]]
-                self.mx_identities.append(
-                    MXIdentity(
-                        mx_name=self.text(mx_name[i]),
-                        provider_id=self.text(mx_provider[i]),
-                        source=_enum_value(_EVIDENCE_SOURCES, mx_source[i]),
-                        ip_identities=tuple(
-                            self.ip_identities[ref] for ref in ips
-                        ),
-                        corrected=bool(mx_flags[i] & 1),
-                        correction_reason=self.text(mx_reason[i]),
-                        examined=bool(mx_flags[i] & 2),
-                    )
-                )
-
-            self.inf_domain = reader.u32s()
-            self.inf_status = reader.u8s()
-            self.inf_attr_cum = _cumulative(reader.u32s())
-            self.inf_attr_keys = reader.u32s()
-            self.inf_attr_weights = reader.f64s()
-            self.inf_mx_cum = _cumulative(reader.u32s())
-            self.inf_mx_flat = reader.u32s()
-        except IndexError as error:
-            raise CodecError(f"dangling table reference: {error}") from error
-
-    def text(self, ref: int) -> str | None:
-        try:
-            return self.strings[ref]
-        except IndexError as error:
-            raise CodecError(f"bad string reference {ref}") from error
-
-    def inferences(self) -> dict[str, DomainInference]:
-        result: dict[str, DomainInference] = {}
-        attr_cum = self.inf_attr_cum
-        mx_cum = self.inf_mx_cum
-        try:
-            for i in range(len(self.inf_domain)):
-                domain = self.text(self.inf_domain[i])
-                result[domain] = DomainInference(
-                    domain=domain,
-                    status=_enum_value(_DOMAIN_STATUSES, self.inf_status[i]),
-                    attributions={
-                        self.text(self.inf_attr_keys[j]): self.inf_attr_weights[j]
-                        for j in range(attr_cum[i], attr_cum[i + 1])
-                    },
-                    mx_identities=tuple(
-                        self.mx_identities[ref]
-                        for ref in self.inf_mx_flat[mx_cum[i]:mx_cum[i + 1]]
-                    ),
-                )
-        except IndexError as error:
-            raise CodecError(f"dangling table reference: {error}") from error
-        return result
-
-
 def encode_inferences(inferences: dict[str, DomainInference]) -> bytes:
     """Encode a baseline-approach inference map."""
     encoder = _InferenceEncoder()
@@ -975,10 +1049,6 @@ def encode_inferences(inferences: dict[str, DomainInference]) -> bytes:
     writer = _Writer()
     encoder.write(writer)
     return _compress(writer)
-
-
-def decode_inferences(payload: bytes) -> dict[str, DomainInference]:
-    return _InferenceDecoder(_decompress(payload)).inferences()
 
 
 def encode_result(result: PipelineResult) -> bytes:
@@ -999,21 +1069,221 @@ def encode_result(result: PipelineResult) -> bytes:
     return _compress(writer)
 
 
+class ResultView:
+    """Lazy single-domain reads over an encoded inference payload.
+
+    Accepts both payload flavors: full pipeline results
+    (:func:`repro.store.codec.encode_result`) and plain inference maps
+    (:func:`repro.store.codec.encode_inferences`, which lack the
+    mx-identity/stats tail).
+    """
+
+    def __init__(self, payload: bytes) -> None:
+        reader = _decompress(payload)
+        self._strings = _StringTable.read(reader)
+        try:
+            self._ip_addr = reader.u32s()
+            self._ip_cert_id = reader.u32s()
+            self._ip_banner_id = reader.u32s()
+            self._ip_fingerprint = reader.u32s()
+            self._ip_banner_fqdn = reader.u32s()
+            self._ip_name_cum = _cumulative(reader.u32s())
+            self._ip_name_flat = reader.u32s()
+            self._mx_name = reader.u32s()
+            self._mx_provider = reader.u32s()
+            self._mx_source = reader.u8s()
+            self._mx_ip_cum = _cumulative(reader.u32s())
+            self._mx_ip_flat = reader.u32s()
+            self._mx_flags = reader.u8s()
+            self._mx_reason = reader.u32s()
+            self._inf_domain = reader.u32s()
+            self._inf_status = reader.u8s()
+            self._inf_attr_cum = _cumulative(reader.u32s())
+            self._inf_attr_keys = reader.u32s()
+            self._inf_attr_weights = reader.f64s()
+            self._inf_mx_cum = _cumulative(reader.u32s())
+            self._inf_mx_flat = reader.u32s()
+            if reader.remaining():
+                self._res_keys = reader.u32s()
+                self._res_vals = reader.u32s()
+                self.candidates_examined: int | None = reader.u64()
+                self.corrected: int | None = reader.u64()
+            else:
+                self._res_keys = None
+                self._res_vals = None
+                self.candidates_examined = None
+                self.corrected = None
+            self.domains: tuple[str, ...] = tuple(
+                self._strings[ref] for ref in self._inf_domain
+            )
+        except IndexError as error:
+            raise CodecError(f"dangling table reference: {error}") from error
+        self._row_of = {domain: i for i, domain in enumerate(self.domains)}
+        self._ip_objs: dict[int, IPIdentity] = {}
+        self._mx_objs: dict[int, MXIdentity] = {}
+        self._stats_cache: dict | None = None
+
+    def __len__(self) -> int:
+        return len(self.domains)
+
+    def __contains__(self, domain: str) -> bool:
+        return domain in self._row_of
+
+    def get(self, domain: str) -> DomainInference | None:
+        """One domain's inference, materializing only its identity rows."""
+        i = self._row_of.get(domain)
+        if i is None:
+            return None
+        try:
+            return self._inference(i, domain)
+        except IndexError as error:
+            raise CodecError(f"dangling table reference: {error}") from error
+
+    def _inferences(self) -> dict[str, DomainInference]:
+        """Every row in payload order, in one pass (the full decode)."""
+        try:
+            return {
+                domain: self._inference(i, domain)
+                for i, domain in enumerate(self.domains)
+            }
+        except IndexError as error:
+            raise CodecError(f"dangling table reference: {error}") from error
+
+    def _inference(self, i: int, domain: str) -> DomainInference:
+        attr_cum = self._inf_attr_cum
+        mx_cum = self._inf_mx_cum
+        return DomainInference(
+            domain=domain,
+            status=_enum_value(_DOMAIN_STATUSES, self._inf_status[i]),
+            attributions={
+                self._strings[self._inf_attr_keys[j]]: self._inf_attr_weights[j]
+                for j in range(attr_cum[i], attr_cum[i + 1])
+            },
+            mx_identities=tuple([
+                self._mx_identity(ref)
+                for ref in self._inf_mx_flat[mx_cum[i]:mx_cum[i + 1]]
+            ]),
+        )
+
+    def provider_stats(self) -> dict:
+        """Column-space aggregates: statuses, provider weights, top list."""
+        if self._stats_cache is not None:
+            return self._stats_cache
+        strings = self._strings
+        keys = self._inf_attr_keys
+        weights = self._inf_attr_weights
+        attr_cum = self._inf_attr_cum
+        rows = (
+            (
+                _enum_value(_DOMAIN_STATUSES, self._inf_status[i]).value,
+                [
+                    (strings[keys[j]], weights[j])
+                    for j in range(attr_cum[i], attr_cum[i + 1])
+                ],
+            )
+            for i in range(len(self._inf_domain))
+        )
+        try:
+            self._stats_cache = _provider_stats(rows)
+        except IndexError as error:
+            raise CodecError(f"dangling table reference: {error}") from error
+        return self._stats_cache
+
+    def _ip_identity(self, ref: int):
+        row = self._ip_objs.get(ref)
+        if row is None:
+            if not ref:
+                raise CodecError("null IP identity reference")
+            i = ref - 1
+            names = self._ip_name_flat[self._ip_name_cum[i]:self._ip_name_cum[i + 1]]
+            row = IPIdentity(
+                address=self._strings[self._ip_addr[i]],
+                cert_id=self._strings[self._ip_cert_id[i]],
+                banner_id=self._strings[self._ip_banner_id[i]],
+                cert_fingerprint=self._strings[self._ip_fingerprint[i]],
+                banner_fqdn=self._strings[self._ip_banner_fqdn[i]],
+                cert_names=tuple(self._strings[r] for r in names),
+            )
+            self._ip_objs[ref] = row
+        return row
+
+    def _mx_identity(self, ref: int):
+        row = self._mx_objs.get(ref)
+        if row is None:
+            if not ref:
+                raise CodecError("null MX identity reference")
+            i = ref - 1
+            ips = self._mx_ip_flat[self._mx_ip_cum[i]:self._mx_ip_cum[i + 1]]
+            flags = self._mx_flags[i]
+            row = MXIdentity(
+                mx_name=self._strings[self._mx_name[i]],
+                provider_id=self._strings[self._mx_provider[i]],
+                source=_enum_value(_EVIDENCE_SOURCES, self._mx_source[i]),
+                ip_identities=tuple(self._ip_identity(r) for r in ips),
+                corrected=bool(flags & 1),
+                correction_reason=self._strings[self._mx_reason[i]],
+                examined=bool(flags & 2),
+            )
+            self._mx_objs[ref] = row
+        return row
+
+
+def _provider_stats(rows) -> dict:
+    """Status counts, provider weights and the top-20 providers over
+    ``(status value, attribution items)`` rows.
+
+    The one aggregation behind :meth:`ResultView.provider_stats` and the
+    serve daemon's live-map answer; both feed rows in payload order, so
+    the float sums are bit-equal.
+    """
+    domains = 0
+    statuses: dict[str, int] = {}
+    weights: dict[str, float] = {}
+    backing: dict[str, int] = {}
+    for status, attributions in rows:
+        domains += 1
+        statuses[status] = statuses.get(status, 0) + 1
+        for provider, weight in attributions:
+            weights[provider] = weights.get(provider, 0.0) + weight
+            backing[provider] = backing.get(provider, 0) + 1
+    top = sorted(weights.items(), key=lambda item: (-item[1], item[0]))
+    return {
+        "domains": domains,
+        "statuses": dict(sorted(statuses.items())),
+        "providers": len(weights),
+        "top": [
+            {
+                "provider": provider,
+                "weight": round(weight, 4),
+                "domains": backing[provider],
+            }
+            for provider, weight in top[:20]
+        ],
+    }
+
+
+def decode_inferences(payload: bytes) -> dict[str, DomainInference]:
+    """Rebuild a baseline inference map; inverse of :func:`encode_inferences`."""
+    return ResultView(payload)._inferences()
+
+
 def decode_result(payload: bytes) -> PipelineResult:
-    decoder = _InferenceDecoder(_decompress(payload))
-    inferences = decoder.inferences()
-    reader = decoder.reader
-    res_keys = reader.u32s()
-    res_vals = reader.u32s()
+    """Rebuild a priority-pipeline result; inverse of :func:`encode_result`."""
+    view = ResultView(payload)
+    if view._res_keys is None:
+        raise CodecError("truncated payload: no pipeline-result tail")
+    inferences = view._inferences()
+    keys = view._res_keys
+    refs = view._res_vals
     try:
         mx_identities = {
-            decoder.text(res_keys[i]): decoder.mx_identities[res_vals[i]]
-            for i in range(len(res_keys))
+            view._strings[keys[i]]: view._mx_identity(refs[i])
+            for i in range(len(keys))
         }
     except IndexError as error:
         raise CodecError(f"dangling table reference: {error}") from error
     stats = CorrectionStats(
-        candidates_examined=reader.u64(), corrected=reader.u64()
+        candidates_examined=view.candidates_examined, corrected=view.corrected
     )
     return PipelineResult(
         inferences=inferences, correction_stats=stats, mx_identities=mx_identities

@@ -542,9 +542,11 @@ class TestConsistencyBarrier:
                 # Any successful answer IS the committed new world —
                 # atomic flip, no intermediate domain counts.
                 assert domains == final_stats["domains"]
-        # After the dust settles the live state serves the same answer.
+        # After the dust settles the live state serves the same answer:
+        # the whole stats body, not just its domain count.
         settled = service.provider_stats("alexa", latest)
-        assert settled["domains"] == final_stats["domains"]
+        assert settled["source"] == "live"
+        assert {key: settled[key] for key in final_stats} == final_stats
 
 
 _POOL_TIMEOUT = 120

@@ -1,12 +1,28 @@
 """Codec tests: exact round-trips, compactness, and corruption behavior."""
 
 import pickle
+import zlib
+from datetime import date
 
 import pytest
 
-from repro.core.baselines import APPROACH_MX_ONLY
+from repro.core.baselines import APPROACH_BANNER, APPROACH_CERT, APPROACH_MX_ONLY
+from repro.core.misident import CorrectionStats
+from repro.core.pipeline import PipelineResult
+from repro.core.types import (
+    DomainInference,
+    DomainStatus,
+    EvidenceSource,
+    IPIdentity,
+    MXIdentity,
+)
+from repro.measure.caida import ASInfo
+from repro.measure.censys import Port25State, PortScanRecord
+from repro.measure.dataset import DomainMeasurement, IPObservation, MXData
 from repro.store import (
     CodecError,
+    ResultView,
+    SnapshotView,
     decode_inferences,
     decode_measurements,
     decode_result,
@@ -14,9 +30,32 @@ from repro.store import (
     encode_measurements,
     encode_result,
 )
+from repro.tls.cert import Certificate
 from repro.world.entities import DatasetTag
 
 SNAPSHOT = 4
+BASELINES = (APPROACH_MX_ONLY, APPROACH_CERT, APPROACH_BANNER)
+
+
+def _cells(ctx):
+    """Every covered (corpus, snapshot) of the test world."""
+    return [
+        (dataset, snapshot)
+        for dataset in DatasetTag
+        for snapshot in range(len(ctx.world.snapshot_dates))
+        if ctx.covered(dataset, snapshot)
+    ]
+
+
+def _without_signature_columns(payload: bytes, columns: int) -> bytes:
+    """*payload* re-compressed with its last *columns* u64 columns cut off
+    (1: the certificate signatures; 2: also the domain signatures)."""
+    view = SnapshotView(payload)
+    raw = zlib.decompress(payload)
+    cut = 8 + 8 * len(view.cert_sigs())
+    if columns == 2:
+        cut += 8 + 8 * len(view)
+    return zlib.compress(raw[:-cut], 1)
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +89,21 @@ class TestMeasurementRoundTrip:
     def test_empty_dict(self):
         assert decode_measurements(encode_measurements({})) == {}
 
+    def test_reencode_is_byte_identical_everywhere(self, ctx):
+        for dataset, snapshot in _cells(ctx):
+            payload = encode_measurements(ctx.measurements(dataset, snapshot))
+            assert encode_measurements(decode_measurements(payload)) == payload
+
+    def test_signature_columns_are_required(self, ctx):
+        for dataset, snapshot in _cells(ctx):
+            payload = encode_measurements(ctx.measurements(dataset, snapshot))
+            for columns in (1, 2):
+                legacy = _without_signature_columns(payload, columns)
+                with pytest.raises(CodecError):
+                    decode_measurements(legacy)
+                with pytest.raises(CodecError):
+                    SnapshotView(legacy)
+
 
 class TestResultRoundTrip:
     def test_exact_equality(self, result):
@@ -64,6 +118,20 @@ class TestResultRoundTrip:
     def test_baseline_inferences(self, ctx):
         baseline = ctx.baseline(APPROACH_MX_ONLY, DatasetTag.COM, SNAPSHOT)
         assert decode_inferences(encode_inferences(baseline)) == baseline
+
+    def test_reencode_is_byte_identical_everywhere(self, ctx):
+        for dataset, snapshot in _cells(ctx):
+            payload = encode_result(ctx.priority_result(dataset, snapshot))
+            assert encode_result(decode_result(payload)) == payload
+
+    def test_baselines_reencode_and_are_not_results(self, ctx):
+        for dataset, snapshot in _cells(ctx):
+            for approach in BASELINES:
+                payload = encode_inferences(ctx.baseline(approach, dataset, snapshot))
+                assert encode_inferences(decode_inferences(payload)) == payload
+                # A baseline map has no mx-identity/stats tail.
+                with pytest.raises(CodecError):
+                    decode_result(payload)
 
 
 class TestCompactness:
@@ -108,3 +176,125 @@ class TestCorruption:
     def test_result_codec_rejects_measurement_garbage(self, measurements):
         with pytest.raises(CodecError):
             decode_result(b"\x00" * 64)
+
+
+DAY = date(2021, 1, 4)
+
+
+def _observation(address: str, certificate=None) -> IPObservation:
+    return IPObservation(
+        address=address,
+        as_info=ASInfo(asn=64500, name="TEST-AS", country="US"),
+        scan=PortScanRecord(
+            address=address,
+            scanned_on=DAY,
+            state=Port25State.OPEN,
+            banner="220 mx.test.example ESMTP",
+            certificate=certificate,
+        ),
+    )
+
+
+def _snapshot(last_mx_set, last_ips=()) -> bytes:
+    """Three domains over two MX rows: c.example's MX set is
+    *last_mx_set*, and *last_ips* extends the second MX row's addresses.
+
+    The encoder writes reference 0 for a None it finds in ``mx_set`` or
+    ``ips``, which no gather produces: a 0 in those columns is a corrupt
+    payload that must not decode as the last table row.
+    """
+    first = MXData(name="mx1.test.example", preference=10,
+                   ips=(_observation("192.0.2.1"),))
+    second = MXData(name="mx2.test.example", preference=10,
+                    ips=(_observation("192.0.2.2"),) + last_ips)
+    measurements = {
+        "a.example": DomainMeasurement("a.example", DAY, (first,)),
+        "b.example": DomainMeasurement("b.example", DAY, (second,)),
+        "c.example": DomainMeasurement("c.example", DAY, last_mx_set),
+    }
+    return encode_measurements(measurements)
+
+
+def _inferences(last_mx_identities, last_ips=()):
+    ip = IPIdentity(address="192.0.2.1", cert_id="test.example")
+    first = MXIdentity(mx_name="mx1.test.example", provider_id="test.example",
+                       source=EvidenceSource.CERT, ip_identities=(ip,))
+    second = MXIdentity(mx_name="mx2.test.example", provider_id="test.example",
+                        source=EvidenceSource.CERT, ip_identities=(ip,) + last_ips)
+    return {
+        domain: DomainInference(domain, DomainStatus.INFERRED,
+                                {"test.example": 1.0}, mx_identities)
+        for domain, mx_identities in (
+            ("a.example", (first,)),
+            ("b.example", (second,)),
+            ("c.example", last_mx_identities),
+        )
+    }
+
+
+class TestMalformedRows:
+    """Hand-built payloads whose columns hold what no encoder input does."""
+
+    @pytest.mark.parametrize("build, corrupt", [
+        pytest.param(lambda: _snapshot((None,)), "c.example", id="mx-ref-0"),
+        pytest.param(
+            lambda: _snapshot((), last_ips=(None,)), "b.example",
+            id="observation-ref-0",
+        ),
+    ])
+    def test_null_measurement_reference(self, build, corrupt):
+        payload = build()
+        with pytest.raises(CodecError):
+            decode_measurements(payload)
+        with pytest.raises(CodecError):
+            SnapshotView(payload).materialize()
+        view = SnapshotView(payload)
+        assert list(view.materialize({"a.example"})) == ["a.example"]
+        with pytest.raises(CodecError):
+            view.materialize({corrupt})
+
+    def test_inverted_certificate_window(self):
+        cert = Certificate(subject_cn="mx.test.example",
+                           not_before=date(2020, 1, 1), not_after=date(2022, 1, 1))
+        object.__setattr__(cert, "not_after", date(2019, 1, 1))
+        mx = MXData(name="mx.test.example", preference=10,
+                    ips=(_observation("192.0.2.9", certificate=cert),))
+        payload = encode_measurements(
+            {"a.example": DomainMeasurement("a.example", DAY, (mx,))}
+        )
+        with pytest.raises(CodecError):
+            decode_measurements(payload)
+        view = SnapshotView(payload)
+        with pytest.raises(CodecError):
+            view.certificate(0)
+        with pytest.raises(CodecError):
+            view.materialize()
+
+    @pytest.mark.parametrize("build, corrupt", [
+        pytest.param(lambda: _inferences((None,)), "c.example",
+                     id="mx-identity-ref-0"),
+        pytest.param(lambda: _inferences((), last_ips=(None,)), "b.example",
+                     id="ip-identity-ref-0"),
+    ])
+    def test_null_inference_reference(self, build, corrupt):
+        inferences = build()
+        baseline = encode_inferences(inferences)
+        result = encode_result(PipelineResult(inferences, CorrectionStats()))
+        for payload in (baseline, result):
+            with pytest.raises(CodecError):
+                decode_inferences(payload)
+            view = ResultView(payload)
+            assert view.get("a.example") == inferences["a.example"]
+            with pytest.raises(CodecError):
+                view.get(corrupt)
+        with pytest.raises(CodecError):
+            decode_result(result)
+
+    def test_null_result_tail_reference(self):
+        inferences = _inferences(())
+        payload = encode_result(PipelineResult(
+            inferences, CorrectionStats(), {"mx9.test.example": None}
+        ))
+        assert decode_inferences(payload) == inferences
+        with pytest.raises(CodecError):
+            decode_result(payload)

@@ -5,9 +5,8 @@ ingest, so exactness matters in both directions: every evidence change must
 be flagged (missed changes silently serve stale inferences) and nothing
 else may be (spurious changes erode the incremental speedup).  The
 properties below mutate real measurement dicts and check the delta report
-is *exactly* the mutation set, that date-only shifts are flagged only when
-a certificate validity window is crossed, and that the embedded signature
-columns agree with the from-columns fallback used for older payloads.
+is *exactly* the mutation set, and that date-only shifts are flagged only
+when a certificate validity window is crossed.
 """
 
 import dataclasses
@@ -170,19 +169,6 @@ class TestMaterialize:
 
 
 class TestSignatureColumns:
-    def test_embedded_matches_fallback(self, base):
-        payload = encode_measurements(base)
-        embedded = SnapshotView(payload)
-        assert embedded._dom_sig is not None
-        assert embedded._cert_sig is not None
-        # Simulate a payload written before the signature columns existed:
-        # the fallback must recompute identical values from the tables.
-        legacy = SnapshotView(payload)
-        legacy._dom_sig = None
-        legacy._cert_sig = None
-        assert legacy.signatures() == embedded.signatures()
-        assert list(legacy.cert_sigs()) == list(embedded.cert_sigs())
-
     def test_cert_sigs_row_indexing(self, base):
         view = SnapshotView(encode_measurements(base))
         sigs = list(view.cert_sigs())
