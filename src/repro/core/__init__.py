@@ -22,12 +22,6 @@ from .misident import (
 )
 from .mxident import MXIdentifier, mx_fallback_id
 from .pipeline import PipelineConfig, PipelineResult, PriorityPipeline
-from .serialize import (
-    inference_from_dict,
-    inference_to_dict,
-    results_from_dicts,
-    results_to_dicts,
-)
 from .spf import EventualProviderAnalyzer, SPFRecord, parse_spf
 from .types import (
     DomainInference,
@@ -54,11 +48,7 @@ __all__ = [
     "EventualProviderAnalyzer",
     "EvidenceSource",
     "SPFRecord",
-    "inference_from_dict",
-    "inference_to_dict",
     "parse_spf",
-    "results_from_dicts",
-    "results_to_dicts",
     "IPIdentifier",
     "IPIdentity",
     "MXIdentifier",

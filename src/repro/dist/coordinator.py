@@ -194,10 +194,6 @@ class DistCoordinator:
     def executor(self) -> DistExecutor:
         return DistExecutor(self)
 
-    def connected_hosts(self) -> list[str]:
-        with self._lock:
-            return sorted(self._hosts)
-
     # -- the executor loop ----------------------------------------------
 
     def run_gather(self, pending, snapshot_index: int, ledger) -> None:

@@ -118,11 +118,6 @@ class Resolver:
         answer = self.resolve(name, RRType.A)
         return answer.rdatas if answer else []
 
-    def resolve_aaaa(self, name: str) -> list[str]:
-        """Convenience: the IPv6 addresses of *name* ([] on any failure)."""
-        answer = self.resolve(name, RRType.AAAA)
-        return answer.rdatas if answer else []
-
     def resolve_mx(self, name: str) -> list[Record]:
         """Convenience: MX records of *name*, best preference first."""
         answer = self.resolve(name, RRType.MX)

@@ -76,9 +76,6 @@ class Zone:
     def names(self) -> set[str]:
         return {name for (name, _rtype) in self._store}
 
-    def all_records(self) -> list[Record]:
-        return [record for bucket in self._store.values() for record in bucket]
-
     def __len__(self) -> int:
         return sum(len(bucket) for bucket in self._store.values())
 
@@ -128,9 +125,6 @@ class ZoneDB:
         zone = self._enclosing(name)
         records = zone._store.get((name, rtype), ()) if zone is not None else ()
         return RRset(name=name, rtype=rtype, records=tuple(records))
-
-    def zone_apexes(self) -> list[str]:
-        return sorted(self._zones)
 
     def zones_under_tld(self, tld: str) -> list[str]:
         return sorted(self._by_tld.get(normalize(tld), set()))

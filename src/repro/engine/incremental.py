@@ -309,48 +309,6 @@ class IncrementalInferencer:
         report.seconds = time.perf_counter() - started
         return report
 
-    def reinfer_domain(
-        self, state: IncrementalState, measurement: DomainMeasurement
-    ) -> DomainInference:
-        """Steps 2-5 for a single measurement against the live state.
-
-        Pure read — *state* is not modified.  Per-key raw identities come
-        from the state (or the shared MX-identity cache on misses), so a
-        warm call touches only this domain's own MX evidence.
-        """
-        keys: dict[RunKey, KeyRecord] = {}
-        for mx in measurement.primary_mx:
-            key = (mx.name, tuple(ip.address for ip in mx.ips))
-            if key in keys:
-                continue
-            evidence = self._evidence(mx, measurement.measured_on, state.groups)
-            existing = state.keys.get(key)
-            if existing is not None and existing.evidence == evidence:
-                STATS.inc("incremental.reinfer.key_hit")
-                keys[key] = existing
-                continue
-            STATS.inc("incremental.reinfer.key_miss")
-            raw = self._identify(
-                [(key, mx, measurement.measured_on, evidence)], state.groups, 1
-            )[key]
-            keys[key] = KeyRecord(
-                raw=raw,
-                evidence=evidence,
-                domains=set(),
-                relevant=self._relevant(raw),
-                crossing=False,
-            )
-        record = self._reinfer(
-            measurement.domain,
-            measurement,
-            0,
-            keys,
-            self._checker(),
-            state.counters,
-            DomainIdentifier(split_credit=self.config.split_credit),
-        )
-        return record.inference
-
     # -- the delta round -------------------------------------------------
 
     def _ingest(

@@ -33,16 +33,23 @@ class Tab123Result:
         table2_rows = []
         table3_rows = []
         for domain in SHOWCASE:
-            measurement = self.measurements[domain]
-            mx = measurement.primary_mx[0]
-            ip = mx.ips[0] if mx.ips else None
+            primary = self.measurements[domain].primary_mx
+            # DNS faults can leave a domain with no MX at all; that is
+            # missing evidence (Table 4 counts it), rendered as such.
+            mx = primary[0] if primary else None
+            ip = mx.ips[0] if mx is not None and mx.ips else None
             asn_text = (
                 f"{ip.as_info.asn} ({ip.as_info.name})"
                 if ip is not None and ip.as_info is not None
                 else "N/A"
             )
             table1_rows.append(
-                [domain, mx.name, ip.address if ip else "N/A", asn_text]
+                [
+                    domain,
+                    mx.name if mx is not None else "no MX observed",
+                    ip.address if ip else "N/A",
+                    asn_text,
+                ]
             )
             scan = ip.scan if ip is not None else None
             banner = scan.banner if scan and scan.banner else "N/A"

@@ -2,7 +2,6 @@
 
 from .asn import AutonomousSystem, PrefixToASTable
 from .ip import AddressError, IPv4Address, IPv4Prefix, format_ipv4, parse_ipv4
-from .ip6 import IPv6Address, IPv6Prefix, format_ipv6, parse_ipv6
 from .registry import AddressBlock, AddressRegistry, ExhaustedError
 
 __all__ = [
@@ -13,11 +12,7 @@ __all__ = [
     "ExhaustedError",
     "IPv4Address",
     "IPv4Prefix",
-    "IPv6Address",
-    "IPv6Prefix",
     "PrefixToASTable",
     "format_ipv4",
-    "format_ipv6",
     "parse_ipv4",
-    "parse_ipv6",
 ]

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .ip import IPv4Address, IPv4Prefix, parse_ipv4
-from .ip6 import IPv6Address, IPv6Prefix, parse_ipv6
 
 
 @dataclass(frozen=True)
@@ -48,10 +47,8 @@ class PrefixToASTable:
     """
 
     _root: _TrieNode = field(default_factory=_TrieNode)
-    _root6: _TrieNode = field(default_factory=_TrieNode)
     _asys: dict[int, AutonomousSystem] = field(default_factory=dict)
     _announcements: list[tuple[IPv4Prefix, int]] = field(default_factory=list)
-    _announcements6: list[tuple[IPv6Prefix, int]] = field(default_factory=list)
 
     def register_as(self, asys: AutonomousSystem) -> None:
         existing = self._asys.get(asys.number)
@@ -59,47 +56,20 @@ class PrefixToASTable:
             raise ValueError(f"AS{asys.number} already registered as {existing.name}")
         self._asys[asys.number] = asys
 
-    @staticmethod
-    def _insert(root: _TrieNode, network: int, length: int, width: int, asn: int) -> None:
-        node = root
-        for depth in range(length):
-            bit = (network >> (width - 1 - depth)) & 1
-            if node.children[bit] is None:
-                node.children[bit] = _TrieNode()
-            node = node.children[bit]
-        node.asn = asn
-
-    @staticmethod
-    def _walk(root: _TrieNode, value: int, width: int) -> int | None:
-        node = root
-        best = node.asn
-        for depth in range(width):
-            bit = (value >> (width - 1 - depth)) & 1
-            child = node.children[bit]
-            if child is None:
-                break
-            node = child
-            if node.asn is not None:
-                best = node.asn
-        return best
-
     def announce(self, prefix: IPv4Prefix | str, asn: int) -> None:
         """Record that *asn* originates *prefix*."""
         if isinstance(prefix, str):
             prefix = IPv4Prefix.parse(prefix)
         if asn not in self._asys:
             raise KeyError(f"AS{asn} not registered")
-        self._insert(self._root, prefix.network, prefix.length, 32, asn)
+        node = self._root
+        for depth in range(prefix.length):
+            bit = (prefix.network >> (31 - depth)) & 1
+            if node.children[bit] is None:
+                node.children[bit] = _TrieNode()
+            node = node.children[bit]
+        node.asn = asn
         self._announcements.append((prefix, asn))
-
-    def announce6(self, prefix: IPv6Prefix | str, asn: int) -> None:
-        """Record that *asn* originates an IPv6 *prefix*."""
-        if isinstance(prefix, str):
-            prefix = IPv6Prefix.parse(prefix)
-        if asn not in self._asys:
-            raise KeyError(f"AS{asn} not registered")
-        self._insert(self._root6, prefix.network, prefix.length, 128, asn)
-        self._announcements6.append((prefix, asn))
 
     def lookup_asn(self, address: IPv4Address | str | int) -> int | None:
         """Origin ASN of the most specific covering prefix, or None."""
@@ -109,24 +79,17 @@ class PrefixToASTable:
             value = address.value
         else:
             value = address
-        return self._walk(self._root, value, 32)
-
-    def lookup_asn6(self, address: IPv6Address | str | int) -> int | None:
-        """Origin ASN of the most specific covering IPv6 prefix, or None."""
-        if isinstance(address, str):
-            value = parse_ipv6(address)
-        elif isinstance(address, IPv6Address):
-            value = address.value
-        else:
-            value = address
-        return self._walk(self._root6, value, 128)
-
-    def lookup6(self, address: IPv6Address | str | int) -> AutonomousSystem | None:
-        asn = self.lookup_asn6(address)
-        return self._asys.get(asn) if asn is not None else None
-
-    def announcements6(self) -> list[tuple[IPv6Prefix, int]]:
-        return list(self._announcements6)
+        node = self._root
+        best = node.asn
+        for depth in range(32):
+            bit = (value >> (31 - depth)) & 1
+            child = node.children[bit]
+            if child is None:
+                break
+            node = child
+            if node.asn is not None:
+                best = node.asn
+        return best
 
     def lookup(self, address: IPv4Address | str | int) -> AutonomousSystem | None:
         """The :class:`AutonomousSystem` owning *address*, or None."""

@@ -761,39 +761,6 @@ class InferenceService:
         self._publish(dataset, snapshot_index, state)
         return {"corpus": dataset.value, **report.as_dict()}
 
-    def ingest_view(
-        self,
-        dataset: DatasetTag,
-        view: SnapshotView,
-        snapshot_index: int,
-        jobs: int | None = None,
-    ) -> dict:
-        """Ingest an already-decoded snapshot view (tests and benchmarks)."""
-        with self._observe("ingest"), self._lock:
-            started = time.perf_counter()
-            inferencer = self._delta_inferencer()
-            jobs = jobs or self.jobs
-            state = self._states.get(dataset)
-            self._ingesting = True
-            try:
-                if state is None:
-                    state, report = inferencer.bootstrap(
-                        view, snapshot_index=snapshot_index, jobs=jobs
-                    )
-                    self._states[dataset] = state
-                else:
-                    report = inferencer.ingest(
-                        state, view, snapshot_index=snapshot_index, jobs=jobs
-                    )
-                self._publish(dataset, snapshot_index, state)
-            finally:
-                self._ingesting = False
-            if self.live is not None:
-                self.live.note_ingest(
-                    snapshot_index, time.perf_counter() - started
-                )
-            return {"corpus": dataset.value, **report.as_dict()}
-
     def _latest_prior_snapshot(
         self, dataset: DatasetTag, snapshot_index: int
     ) -> int | None:

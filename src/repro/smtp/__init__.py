@@ -1,21 +1,5 @@
 """SMTP substrate: replies, banner semantics, simulated MTAs, probe sessions."""
 
-from .delivery import (
-    DeliveryAttempt,
-    DeliveryResult,
-    DeliveryStatus,
-    MailNetwork,
-    SendingMTA,
-)
-from .transaction import (
-    Envelope,
-    MailboxError,
-    MailboxStore,
-    RecipientPolicy,
-    SMTPTransactionServer,
-    TransactionState,
-    parse_address,
-)
 from .banner import (
     BannerStyle,
     MessageIdentity,
@@ -36,18 +20,6 @@ from .session import SessionOutcome, SessionResult, SMTPClient
 
 __all__ = [
     "BannerStyle",
-    "DeliveryAttempt",
-    "DeliveryResult",
-    "DeliveryStatus",
-    "Envelope",
-    "MailNetwork",
-    "MailboxError",
-    "MailboxStore",
-    "RecipientPolicy",
-    "SMTPTransactionServer",
-    "SendingMTA",
-    "TransactionState",
-    "parse_address",
     "MessageIdentity",
     "Reply",
     "ReplyParseError",

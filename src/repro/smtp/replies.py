@@ -94,7 +94,3 @@ def ehlo_response(identity: str, extensions: tuple[str, ...]) -> Reply:
 
 def not_available(text: str = "Service not available") -> Reply:
     return Reply(code=421, lines=(text,))
-
-
-def command_not_implemented(text: str = "Command not implemented") -> Reply:
-    return Reply(code=502, lines=(text,))

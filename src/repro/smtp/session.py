@@ -39,10 +39,6 @@ class SessionResult:
     certificate: Certificate | None = None
 
     @property
-    def succeeded(self) -> bool:
-        return self.outcome is SessionOutcome.CONNECTED
-
-    @property
     def banner_text(self) -> str | None:
         return self.banner.text if self.banner else None
 

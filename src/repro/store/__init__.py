@@ -32,7 +32,6 @@ from .codec import (
     encode_measurements,
     encode_result,
 )
-from .delta import DeltaReport, diff, diff_signatures
 
 __all__ = [
     "ArtifactStore",
@@ -41,12 +40,9 @@ __all__ = [
     "CODEC_VERSION",
     "CodecError",
     "DEFAULT_MAX_BYTES",
-    "DeltaReport",
     "ResultView",
     "SCHEMA_VERSION",
     "SnapshotView",
-    "diff",
-    "diff_signatures",
     "baseline_kind",
     "batch_kind",
     "cache_key",

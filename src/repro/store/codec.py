@@ -318,10 +318,6 @@ def _cumulative(counts) -> list[int]:
     return list(accumulate(counts, initial=0))
 
 
-def _enum_code(members: tuple, value) -> int:
-    return members.index(value)
-
-
 _PORT_STATE_CODES = {member: code for code, member in enumerate(_PORT_STATES)}
 _EVIDENCE_SOURCE_CODES = {
     member: code for code, member in enumerate(_EVIDENCE_SOURCES)
@@ -377,9 +373,14 @@ def encode_measurements(measurements: dict[str, DomainMeasurement]) -> bytes:
     AS, observation, MX) and appended to the payload, so delta detection
     (:meth:`SnapshotView.signatures`) is an array read instead of a full
     column walk.  Signatures are deterministic across processes
-    (:func:`_stable_sig`); measurement dates are excluded except through
-    each certificate's validity-window bit — see the
-    :mod:`repro.store.delta` module docstring for the exact semantics.
+    (:func:`_stable_sig`).  A signature covers everything the pipeline
+    can observe about a domain: MX names and preferences, per-address
+    routing (ASN, AS name, country), port-25 scan evidence (state,
+    banner, EHLO, STARTTLS, the full certificate content) and apex TXT
+    records.  Measurement dates are excluded, so identical evidence
+    re-observed on a later day compares equal, except through each
+    certificate's validity-window bit: issuer trust is a static property
+    of the trust store, so that bit is the only date-dependent input.
     """
     strings = _StringTable()
     dates = _DateTable()

@@ -2,8 +2,6 @@
 
 from .build import World, WorldConfig, build_world
 from .catalog import CATALOG, catalog_by_slug, hosting_companies, mail_companies, security_companies
-from .mailnet import build_mail_network, sending_mta
-from .stats import WorldStats, collect_stats
 from .toplist import CorpusFunnel, ToplistSimulator, build_study_corpus, stable_domains
 from .entities import (
     ASNSpec,
@@ -26,11 +24,7 @@ __all__ = [
     "CompanyInfra",
     "CorpusFunnel",
     "ToplistSimulator",
-    "WorldStats",
-    "build_mail_network",
     "build_study_corpus",
-    "collect_stats",
-    "sending_mta",
     "stable_domains",
     "CompanyKind",
     "CompanySpec",

@@ -120,9 +120,6 @@ class World:
             return self.domains[name]
         return self.showcase[name]
 
-    def all_entities(self) -> list[DomainEntity]:
-        return list(self.domains.values()) + list(self.showcase.values())
-
     def ground_truth(self, name: str, snapshot_index: int) -> dict[str, float]:
         """Truth attribution for a domain at a snapshot: label → weight.
 
@@ -134,24 +131,11 @@ class World:
             return {assignment.company_slug: 0.5, assignment.secondary_slug: 0.5}
         return {assignment.truth: 1.0}
 
-    def company_display(self, slug: str) -> str:
-        if slug in self.companies:
-            return self.companies[slug].spec.display_name
-        return slug
-
     def censys_coverage_for(self, address: str) -> float:
         asn = self.registry.lookup_asn(address)
         if asn is None:
             return DEFAULT_CENSYS_COVERAGE
         return self._coverage_by_asn.get(asn, DEFAULT_CENSYS_COVERAGE)
-
-    def provider_id_to_company(self) -> dict[str, str]:
-        """The curated provider-ID → company-slug map (Section 4.4)."""
-        mapping: dict[str, str] = {}
-        for slug, infra in self.companies.items():
-            for provider_id in infra.spec.provider_ids:
-                mapping.setdefault(provider_id, slug)
-        return mapping
 
 
 @long_lived()

@@ -49,42 +49,6 @@ class TestNameProperties:
             assert extract_fqdn(f"220 {name} ESMTP ready") == normalize(name)
 
 
-class TestZoneFileProperties:
-    @given(
-        st.lists(
-            st.tuples(
-                st.sampled_from(["a", "mx", "cname", "txt"]),
-                hostname,
-                st.integers(min_value=0, max_value=65535),
-            ),
-            max_size=15,
-        )
-    )
-    @settings(max_examples=80)
-    def test_dump_parse_roundtrip(self, entries):
-        from repro.dnscore.records import a as a_rec, cname as cname_rec
-        from repro.dnscore.records import mx as mx_rec, txt as txt_rec
-        from repro.dnscore.zone import Zone, ZoneConflictError
-        from repro.dnscore.zonefile import dump_zone, parse_zone_file
-
-        zone = Zone(apex="zone.test")
-        for kind, name, number in entries:
-            owner = f"{name}.zone.test"
-            try:
-                if kind == "a":
-                    zone.add(a_rec(owner, f"11.0.{number % 256}.{number // 256 % 256}"))
-                elif kind == "mx":
-                    zone.add(mx_rec(owner, f"mx.{owner}", preference=number))
-                elif kind == "cname":
-                    zone.add(cname_rec(owner, "target.zone.test"))
-                else:
-                    zone.add(txt_rec(owner, f"text {number}"))
-            except ZoneConflictError:
-                continue  # CNAME exclusivity; skip conflicting inserts
-        reparsed = parse_zone_file(dump_zone(zone))
-        assert sorted(reparsed) == sorted(zone.all_records())
-
-
 class TestPSLProperties:
     @given(hostname)
     @settings(max_examples=300)

@@ -2,18 +2,19 @@
 
 For every corpus and snapshot of a longitudinal sweep — including the GOV
 corpus's partial snapshot coverage — a sharded, memoized engine run must
-produce byte-identical :class:`PipelineResult` inferences (same domains,
-same iteration order, same attributions, same step-4 bookkeeping) as the
-serial, cache-free path, across seeds and ``jobs ∈ {1, 2, 4}``.
+produce a :class:`PipelineResult` whose encoded bytes (same domains, same
+iteration order, same attributions and IP identities, same certificate
+fingerprints, same step-4 bookkeeping) equal the serial, cache-free
+path's, across seeds and ``jobs ∈ {1, 2, 4}``.  Certificate serials come
+from a process-global counter, so every world build here resets it first.
 """
-
-import json
 
 import pytest
 
-from repro.core.serialize import results_to_dicts
 from repro.engine import EngineOptions
 from repro.experiments.common import StudyContext
+from repro.store import encode_result
+from repro.tls.ca import reset_serials
 from repro.world.build import WorldConfig
 from repro.world.entities import DatasetTag
 from repro.world.population import NUM_SNAPSHOTS
@@ -37,22 +38,14 @@ def sweep_bytes(ctx: StudyContext) -> dict[tuple, bytes | None]:
     output: dict[tuple, bytes | None] = {}
     for dataset, index in ALL_RUNS:
         result = ctx.priority_result(dataset, index)
-        if result is None:
-            output[(dataset, index)] = None
-            continue
-        payload = {
-            "order": list(result.inferences),
-            "inferences": results_to_dicts(result.inferences),
-            "examined": result.correction_stats.candidates_examined,
-            "corrected": result.correction_stats.corrected,
-        }
-        output[(dataset, index)] = json.dumps(payload, sort_keys=True).encode()
+        output[(dataset, index)] = None if result is None else encode_result(result)
     return output
 
 
 @pytest.fixture(scope="module", params=SEEDS, ids=lambda seed: f"seed{seed}")
 def reference(request):
     """The serial, cache-free sweep (the seed repo's execution path)."""
+    reset_serials()
     ctx = StudyContext.create(
         world_config(request.param), engine=EngineOptions(jobs=1, memoize=False)
     )
@@ -62,6 +55,7 @@ def reference(request):
 @pytest.mark.parametrize("jobs", JOBS)
 def test_engine_sweep_is_bit_identical(reference, jobs):
     seed, expected = reference
+    reset_serials()
     ctx = StudyContext.create(
         world_config(seed),
         engine=EngineOptions(jobs=jobs, memoize=True, executor="thread"),
@@ -85,6 +79,7 @@ def test_gov_partial_coverage_matches(reference):
 def test_process_executor_matches(reference):
     """The fork-based process pool produces the same bytes as serial."""
     seed, expected = reference
+    reset_serials()
     ctx = StudyContext.create(
         world_config(seed),
         engine=EngineOptions(jobs=2, memoize=True, executor="process"),
@@ -92,49 +87,12 @@ def test_process_executor_matches(reference):
     assert sweep_bytes(ctx) == expected
 
 
-def _measurement_shape(measurement):
-    """Everything observable about a measurement except certificate serials.
-
-    Serial numbers come from a process-global issue counter, so two
-    separately *built* worlds differ on them by construction (the seed's
-    determinism test makes the same exclusion).
-    """
-    return (
-        measurement.domain,
-        measurement.measured_on,
-        measurement.txt,
-        tuple(
-            (
-                mx.name,
-                mx.preference,
-                tuple(
-                    (
-                        ip.address,
-                        ip.as_info,
-                        None
-                        if ip.scan is None
-                        else (
-                            ip.scan.state,
-                            ip.scan.banner,
-                            ip.scan.ehlo,
-                            ip.scan.starttls,
-                            None
-                            if ip.scan.certificate is None
-                            else ip.scan.certificate.names(),
-                        ),
-                    )
-                    for ip in mx.ips
-                ),
-            )
-            for mx in measurement.mx_set
-        ),
-    )
-
-
 def test_measurements_identical_under_sharding():
-    """Sharded gathering returns the same domains in the same order."""
+    """Sharded gathering returns equal measurements in the same order."""
     config = world_config(SEEDS[0])
+    reset_serials()
     serial = StudyContext.create(config, engine=EngineOptions(jobs=1, memoize=False))
+    reset_serials()
     sharded = StudyContext.create(
         config, engine=EngineOptions(jobs=4, memoize=True, executor="thread")
     )
@@ -142,5 +100,4 @@ def test_measurements_identical_under_sharding():
         left = serial.measurements(dataset, 8)
         right = sharded.measurements(dataset, 8)
         assert list(left) == list(right)
-        for domain in left:
-            assert _measurement_shape(left[domain]) == _measurement_shape(right[domain])
+        assert left == right

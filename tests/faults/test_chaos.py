@@ -8,10 +8,12 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.types import DomainStatus
 from repro.engine import EngineOptions
 from repro.engine.stats import STATS
+from repro.experiments import tab1_2_3
 from repro.experiments.common import StudyContext
-from repro.faults import FaultInjector, FaultPlan
+from repro.faults import FaultInjector, FaultPlan, resolve_plan
 from repro.obs import provenance
 from repro.world.build import WorldConfig
 from repro.world.entities import DatasetTag
@@ -147,3 +149,25 @@ class TestMonotoneFallback:
         dropped_high = {a for a in addresses if high.scan_dropped(a, day)}
         assert dropped_low <= dropped_high
         assert len(dropped_high) > len(dropped_low)
+
+
+class TestFaultedShowcase:
+    def test_showcase_without_mx_renders_as_missing_data(self):
+        """``repro tab1-3 --scale 0.25 --faults 0.1``, in process: the DNS
+        faults leave netflix.com with no MX, and Tables 1-3 still render,
+        showing that row as missing data."""
+        ctx = StudyContext.create(
+            WorldConfig(seed=7).scaled(0.25),
+            engine=EngineOptions(),
+            store=None,
+            faults=resolve_plan("0.1", seed=7),
+        )
+        result = tab1_2_3.run(ctx)
+        assert result.measurements["netflix.com"].primary_mx == ()
+        assert result.inferences["netflix.com"].status is DomainStatus.NO_MX
+        rendered = result.render()
+        row = next(
+            line for line in rendered.splitlines()
+            if line.startswith("netflix.com") and "no MX observed" in line
+        )
+        assert row.split()[-2:] == ["N/A", "N/A"]

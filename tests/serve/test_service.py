@@ -10,13 +10,7 @@ from repro.engine import EngineOptions
 from repro.experiments.common import StudyContext
 from repro.serve.churn import synthesize_churn
 from repro.serve.service import InferenceService, ServiceError
-from repro.store import (
-    ArtifactStore,
-    SnapshotView,
-    decode_measurements,
-    encode_measurements,
-    encode_result,
-)
+from repro.store import ArtifactStore, encode_result
 from repro.world.entities import DatasetTag
 from repro.world.population import NUM_SNAPSHOTS, SNAPSHOT_DATES
 
@@ -87,27 +81,26 @@ class TestWarmQueries:
 class TestIngest:
     def test_ingest_view_goes_live_and_stays_bit_identical(self, seeded, tmp_path):
         config, root, _domains = seeded
-        # Private copy: the ingest writes results through to the store, and
-        # the seeded store is shared by the whole package.
+        # Private copy: the churned snapshot replaces a stored one, and the
+        # ingest writes results through; the seeded store is shared by the
+        # whole package.
         private = tmp_path / "store"
         shutil.copytree(root, private)
         store = ArtifactStore(str(private))
         service = InferenceService(config, store)
         base_index = NUM_SNAPSHOTS - 2
-        base_payload = store.measurement_payload(
-            config, DatasetTag.ALEXA, base_index
-        )
         churned = synthesize_churn(
-            decode_measurements(base_payload), 0.05, seed=7
+            store.load_measurements(config, DatasetTag.ALEXA, base_index),
+            0.05,
+            seed=7,
         )
-        churned_payload = encode_measurements(churned)
+        store.save_measurements(
+            config, DatasetTag.ALEXA, base_index + 1, churned
+        )
 
-        service.ingest_view(
-            DatasetTag.ALEXA, SnapshotView(base_payload), base_index
-        )
-        report = service.ingest_view(
-            DatasetTag.ALEXA, SnapshotView(churned_payload), base_index + 1
-        )
+        # The daemon's path: bootstrap at the stored prior snapshot, then
+        # a delta round over the churned one.
+        (report,) = service.ingest(base_index + 1, "alexa")["reports"]
         assert report["mode"] == "delta"
         assert report["reinferred"] < len(churned)
 

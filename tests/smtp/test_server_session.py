@@ -106,7 +106,7 @@ class TestSMTPClient:
             ),
         )
         result = SMTPClient(table).probe("11.0.0.1")
-        assert result.succeeded
+        assert result.outcome is SessionOutcome.CONNECTED
         assert result.banner_text is not None and "mx1.provider.com" in result.banner_text
         assert result.ehlo_identity == "mx1.provider.com"
         assert result.starttls_offered
@@ -115,7 +115,6 @@ class TestSMTPClient:
     def test_no_host_times_out(self, ca):
         result = SMTPClient(SMTPHostTable()).probe("11.0.0.99")
         assert result.outcome is SessionOutcome.TIMEOUT
-        assert not result.succeeded
         assert result.banner_text is None
         assert result.ehlo_identity is None
 
@@ -129,7 +128,7 @@ class TestSMTPClient:
         table = SMTPHostTable()
         table.bind("11.0.0.1", make_server(ca, starttls=False, certificate=None))
         result = SMTPClient(table).probe("11.0.0.1")
-        assert result.succeeded
+        assert result.outcome is SessionOutcome.CONNECTED
         assert not result.starttls_offered
         assert result.certificate is None
 

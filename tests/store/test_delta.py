@@ -1,12 +1,13 @@
 """Property tests for store-level delta iteration.
 
-``SnapshotView.signatures()``/``diff`` drive the serve daemon's incremental
+``SnapshotView.signatures()`` drives the serve daemon's incremental
 ingest, so exactness matters in both directions: every evidence change must
 be flagged (missed changes silently serve stale inferences) and nothing
 else may be (spurious changes erode the incremental speedup).  The
-properties below mutate real measurement dicts and check the delta report
-is *exactly* the mutation set, and that date-only shifts are flagged only
-when a certificate validity window is crossed.
+properties below mutate real measurement dicts and check the signature
+delta between the two payloads is *exactly* the mutation set, and that
+date-only shifts are flagged only when a certificate validity window is
+crossed.
 """
 
 import dataclasses
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro.store import decode_measurements, encode_measurements
 from repro.store.codec import CodecError
-from repro.store.delta import SnapshotView, diff
+from repro.store.delta import SnapshotView
 from repro.world.entities import DatasetTag
 
 SETTINGS = settings(
@@ -63,6 +64,20 @@ def _shift_dates(measurement, delta):
     )
     return dataclasses.replace(
         measurement, measured_on=measurement.measured_on + delta, mx_set=mx_set
+    )
+
+
+def _delta(old, new):
+    """(changed, added, removed, unchanged) between the encoded snapshots."""
+    before = SnapshotView(encode_measurements(old)).signatures()
+    after = SnapshotView(encode_measurements(new)).signatures()
+    shared = before.keys() & after.keys()
+    changed = {domain for domain in shared if before[domain] != after[domain]}
+    return (
+        changed,
+        after.keys() - before.keys(),
+        before.keys() - after.keys(),
+        len(shared) - len(changed),
     )
 
 
@@ -111,20 +126,16 @@ class TestDiffExactness:
         for name in added:
             new[name] = dataclasses.replace(template, domain=name)
 
-        report = diff(encode_measurements(base), encode_measurements(new))
-        assert set(report.changed) == mutated
-        assert set(report.added) == set(added)
-        assert set(report.removed) == removed
-        assert report.unchanged == len(base) - len(removed) - len(mutated)
-        assert report.total == len(new)
-        assert report.dirty == len(mutated) + len(added)
+        changed, new_domains, gone, unchanged = _delta(base, new)
+        assert changed == mutated
+        assert new_domains == set(added)
+        assert gone == removed
+        assert unchanged == len(base) - len(removed) - len(mutated)
 
     def test_identical_payloads_diff_empty(self, base):
-        payload = encode_measurements(base)
-        report = diff(payload, encode_measurements(dict(base)))
-        assert report.changed == report.added == report.removed == ()
-        assert report.unchanged == len(base)
-        assert report.churn == 0.0
+        changed, added, removed, unchanged = _delta(base, dict(base))
+        assert changed == added == removed == set()
+        assert unchanged == len(base)
 
     @SETTINGS
     @given(delta_days=st.integers(min_value=-500, max_value=500))
@@ -139,9 +150,9 @@ class TestDiffExactness:
             for domain, measurement in base.items()
             if _validity_flips(measurement, delta)
         }
-        report = diff(encode_measurements(base), encode_measurements(shifted))
-        assert set(report.changed) == expected
-        assert report.added == report.removed == ()
+        changed, added, removed, _unchanged = _delta(base, shifted)
+        assert changed == expected
+        assert added == removed == set()
 
 
 class TestMaterialize:

@@ -6,12 +6,11 @@ Every output — inference bytes, artifact-store digests — must be
 byte-identical to the serial, cache-free reference across batch sizes,
 worker counts, and executors.
 
-Inference identity is checked in-process (the ``sweep_bytes`` idiom from
-``tests/engine/test_parallel_equivalence.py``).  Store-digest identity
-must run each setting in its own subprocess: the certificate serial
-counter is process-global, so two worlds built in one process get
-different certificate serials and their encoded artifacts can never be
-compared byte-for-byte.
+Inference identity is checked in-process on encoded result bytes (the
+``sweep_bytes`` idiom from ``tests/engine/test_parallel_equivalence.py``);
+the certificate serial counter is process-global, so each world build
+resets it first.  Store-digest identity runs each setting in its own
+subprocess, sharing nothing but the world config and seed.
 """
 
 import hashlib
@@ -24,9 +23,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.serialize import results_to_dicts
 from repro.engine import EngineOptions
 from repro.experiments.common import StudyContext
+from repro.store import encode_result
+from repro.tls.ca import reset_serials
 from repro.world.build import WorldConfig
 from repro.world.entities import DatasetTag
 from repro.world.population import NUM_SNAPSHOTS
@@ -61,22 +61,14 @@ def sweep_bytes(ctx: StudyContext) -> dict:
     output = {}
     for dataset, index in ALL_RUNS:
         result = ctx.priority_result(dataset, index)
-        if result is None:
-            output[(dataset, index)] = None
-            continue
-        payload = {
-            "order": list(result.inferences),
-            "inferences": results_to_dicts(result.inferences),
-            "examined": result.correction_stats.candidates_examined,
-            "corrected": result.correction_stats.corrected,
-        }
-        output[(dataset, index)] = json.dumps(payload, sort_keys=True).encode()
+        output[(dataset, index)] = None if result is None else encode_result(result)
     return output
 
 
 @pytest.fixture(scope="module")
 def reference():
     """The serial, cache-free, unbatched sweep (the seed's path)."""
+    reset_serials()
     ctx = StudyContext.create(
         CONFIG, engine=EngineOptions(jobs=1, memoize=False)
     )
@@ -91,6 +83,7 @@ class TestInferenceIdentity:
     def test_streamed_sweep_matches_reference(
         self, reference, jobs, executor, batch
     ):
+        reset_serials()
         ctx = StudyContext.create(
             CONFIG,
             engine=EngineOptions(

@@ -3,8 +3,8 @@
 Each subpackage must be importable *first* in a fresh interpreter —
 circular imports between repro.core / repro.world / repro.analysis only
 manifest for specific entry orders, which pytest's own import order can
-mask (this exact bug shipped once: world.stats importing analysis.render
-at module level broke ``import repro.core`` in scripts).
+mask (this exact bug shipped once: a repro.world module importing
+repro.analysis at module level broke ``import repro.core`` in scripts).
 """
 
 import subprocess
