@@ -23,7 +23,6 @@ CCTLDS = (
 )
 
 # Home country of each focal provider's legal jurisdiction.
-PROVIDER_HOME = {"google": "us", "microsoft": "us", "tencent": "cn", "yandex": "ru"}
 
 
 @dataclass(frozen=True)

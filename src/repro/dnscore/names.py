@@ -19,7 +19,6 @@ import re
 from typing import Iterator
 
 MAX_NAME_LENGTH = 253
-MAX_LABEL_LENGTH = 63
 
 # An LDH (letters-digits-hyphen) label: starts and ends alphanumeric.
 _LABEL_RE = re.compile(r"^(?!-)[a-z0-9-]{1,63}(?<!-)$")

@@ -55,16 +55,6 @@ class Record:
         if self.preference and self.rtype is not RRType.MX:
             raise ValueError("preference is only meaningful for MX records")
 
-    def to_zone_line(self) -> str:
-        """Render in conventional zone-file presentation order."""
-        if self.rtype is RRType.MX:
-            return f"{self.name}. {self.ttl} IN MX {self.preference} {self.rdata}."
-        if self.rtype in (RRType.CNAME, RRType.NS):
-            return f"{self.name}. {self.ttl} IN {self.rtype} {self.rdata}."
-        if self.rtype is RRType.TXT:
-            return f'{self.name}. {self.ttl} IN TXT "{self.rdata}"'
-        return f"{self.name}. {self.ttl} IN {self.rtype} {self.rdata}"
-
 
 def a(name: str, address: str, ttl: int = 3600) -> Record:
     """Construct an A record."""

@@ -36,7 +36,7 @@ class EngineOptions:
     ``batch_domains``
         Streamed-gather batch size: snapshots are gathered in contiguous
         batches of this many domains, held in-flight as encoded codec
-        payloads, and merged canonically (see :mod:`repro.stream`).
+        payloads, and merged in plan order (see :mod:`repro.stream`).
         ``None`` defers to ``REPRO_BATCH``; zero or negative disables
         batching.  Like every other knob here, this is a pure
         optimization — outputs are byte-identical at any setting.

@@ -12,6 +12,7 @@ from __future__ import annotations
 import os
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 
 from ..core.baselines import (
     APPROACH_BANNER,
@@ -26,7 +27,7 @@ from ..core.certgroup import CertificateGroups
 from ..core.companies import CompanyMap
 from ..core.pipeline import PipelineConfig, PipelineResult, PriorityPipeline
 from ..core.types import DomainInference
-from ..engine import EngineOptions, MXIdentityCache, parallel_gather
+from ..engine import EngineOptions, MXIdentityCache
 from ..engine.heap import long_lived
 from ..engine.stats import STATS
 from ..faults import FaultInjector, FaultPlan, as_plan
@@ -40,14 +41,7 @@ from ..measure import (
 )
 from ..measure.dataset import DomainMeasurement
 from ..store import ArtifactStore
-from ..stream import (
-    BatchSpiller,
-    SharedWorldTables,
-    canonicalize_measurements,
-    env_stream_keep,
-    merge_payloads,
-    stream_gather,
-)
+from ..stream import BatchSpiller, env_stream_keep, merge_payloads, stream_gather
 from ..world.build import World, WorldConfig, build_world
 from ..world.entities import DatasetTag
 from ..world.population import GOV_FIRST_SNAPSHOT, NUM_SNAPSHOTS
@@ -107,8 +101,6 @@ class StudyContext:
     resilience: "object | None" = None  # repro.resilience.RunContext
     #: repro.dist.DistCoordinator — leases gathers to remote worker hosts.
     dist: "object | None" = None
-    #: Shared-memory snapshot tables, published once per streamed context.
-    stream_tables: SharedWorldTables | None = None
     _measurements: dict[tuple[DatasetTag, int], dict[str, DomainMeasurement]] = field(
         default_factory=dict
     )
@@ -184,21 +176,8 @@ class StudyContext:
             coverage_for=world.censys_coverage_for,
             faults=injector,
         )
-        stream_tables = None
-        gather_prefix2as = prefix2as
-        if engine.batch_plan().active:
-            # Publish the read-only routing table once; forked gather
-            # workers map the segment zero-copy instead of inheriting a
-            # per-context Python trie.  Lookups are value-equal, so this
-            # is invisible to every inference.
-            as_index = {
-                asys.number: asys
-                for asys in world.prefix2as.autonomous_systems()
-            }
-            stream_tables = SharedWorldTables.publish(prefix2as, as_index)
-            gather_prefix2as = stream_tables.prefix2as
         gatherer = MeasurementGatherer(
-            openintel, censys, gather_prefix2as, memoize=engine.memoize
+            openintel, censys, prefix2as, memoize=engine.memoize
         )
         company_map = CompanyMap.from_specs(
             [infra.spec for infra in world.companies.values()], psl=world.psl
@@ -214,7 +193,6 @@ class StudyContext:
             fault_plan=plan,
             resilience=resilience,
             dist=dist,
-            stream_tables=stream_tables,
         )
 
     def faults_key(self) -> str | None:
@@ -287,19 +265,15 @@ class StudyContext:
         jobs = self.engine.resolved_jobs()
         total = len(self.domains(dataset))
         plan = self.engine.batch_plan()
-        if not plan.active:
-            shard_count = min(jobs, total)
-            if shard_count > 1:
-                run.checkpoints.bind(dataset, snapshot_index, shard_count).discard_all()
-            return
         for batch_index, size in enumerate(plan.batch_sizes(total)):
-            batch = plan.key(batch_index, total)
+            # Unbatched gathers key their shards on (corpus, snapshot) only.
+            batch = plan.key(batch_index, total) if plan.active else None
             shard_count = min(jobs, size)
             if shard_count > 1:
                 run.checkpoints.bind(
                     dataset, snapshot_index, shard_count, batch=batch
                 ).discard_all()
-            if self.store is not None:
+            if batch is not None and self.store is not None:
                 self.store.discard_batch(
                     self.world.config, dataset, snapshot_index, *batch,
                     self.faults_key(),
@@ -327,10 +301,9 @@ class StudyContext:
         key = (dataset, snapshot_index)
         cached = self._measurements.get(key)
         if cached is not None:
-            if self.engine.batch_plan().active:
-                # LRU touch: re-insertion keeps eviction order honest.
-                self._measurements.pop(key)
-                self._measurements[key] = cached
+            # LRU touch: re-insertion keeps eviction order honest.
+            self._measurements.pop(key)
+            self._measurements[key] = cached
             return cached
         with long_lived():
             return self._load_or_gather(dataset, snapshot_index)
@@ -373,45 +346,32 @@ class StudyContext:
             snapshot=snapshot_index,
             targets=len(targets),
         ):
-            if plan.active:
-                spiller = BatchSpiller(
-                    plan=plan,
-                    total=len(targets),
-                    store=self.store,
-                    config=self.world.config,
-                    dataset=dataset,
-                    snapshot_index=snapshot_index,
-                    faults=self.faults_key(),
-                    write_through=run is not None,
-                )
-                gathered = stream_gather(
-                    self.gatherer,
-                    targets,
-                    snapshot_index,
-                    plan=plan,
-                    spiller=spiller,
-                    jobs=self.engine.resolved_jobs(),
-                    executor=self.engine.executor,
-                    supervision_factory=lambda index: self._supervision(
-                        dataset, snapshot_index,
-                        batch=plan.key(index, len(targets)),
-                    ),
-                )
-                if self.store is None:
-                    self._snapshot_payloads[key] = spiller.held_payloads()
-            else:
-                gathered = parallel_gather(
-                    self.gatherer,
-                    targets,
-                    snapshot_index,
-                    jobs=self.engine.resolved_jobs(),
-                    executor=self.engine.executor,
-                    supervision=self._supervision(dataset, snapshot_index),
-                )
-                # One observation object per address, exactly as the
-                # serial memoized path produces: encoded artifacts come
-                # out byte-identical across jobs/executors/batch sizes.
-                gathered = canonicalize_measurements(gathered)
+            spiller = BatchSpiller(
+                plan=plan,
+                total=len(targets),
+                store=self.store,
+                config=self.world.config,
+                dataset=dataset,
+                snapshot_index=snapshot_index,
+                faults=self.faults_key(),
+                write_through=run is not None,
+            )
+            gathered = stream_gather(
+                self.gatherer,
+                targets,
+                snapshot_index,
+                plan=plan,
+                spiller=spiller,
+                jobs=self.engine.resolved_jobs(),
+                executor=self.engine.executor,
+                supervision_factory=partial(
+                    self._supervision, dataset, snapshot_index
+                ),
+            )
+        if self.store is None and plan.active:
+            # Evicted snapshots of a store-less streamed run re-decode
+            # from their batch payloads; unbatched runs never evict.
+            self._snapshot_payloads[key] = spiller.held_payloads()
         if self.store is not None:
             self.store.save_measurements(
                 self.world.config, dataset, snapshot_index, gathered,

@@ -166,14 +166,3 @@ class CensysScanner:
                 return result
         STATS.inc("faults.smtp.exhausted")
         return result
-
-    def scan_many(
-        self, addresses: list[str], scanned_on: date
-    ) -> dict[str, PortScanRecord]:
-        """Scan a batch; addresses without data are omitted (as in the API)."""
-        records = {}
-        for address in addresses:
-            record = self.scan_address(address, scanned_on)
-            if record is not None:
-                records[address] = record
-        return records

@@ -46,15 +46,6 @@ class DNSSnapshotRecord:
         best = min(observation.preference for observation in self.mx)
         return tuple(obs for obs in self.mx if obs.preference == best)
 
-    @property
-    def all_addresses(self) -> tuple[str, ...]:
-        seen: list[str] = []
-        for observation in self.mx:
-            for address in observation.addresses:
-                if address not in seen:
-                    seen.append(address)
-        return tuple(seen)
-
 
 @dataclass
 class OpenINTELPlatform:

@@ -85,6 +85,3 @@ class AddressRegistry:
 
     def lookup_asn(self, address: IPv4Address | str) -> int | None:
         return self.table.lookup_asn(address)
-
-    def lookup_as(self, address: IPv4Address | str) -> AutonomousSystem | None:
-        return self.table.lookup(address)

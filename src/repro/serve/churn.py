@@ -7,12 +7,13 @@ a chosen fraction of domains' MX evidence deterministically (seeded
 ``random.Random``) so the same ``(measurements, rate, seed)`` always
 yields byte-identical output.
 
-Mutations keep the canonical-encoding invariants from
-:mod:`repro.stream.canon`: the gatherer interns one observation object
-per address, so mutated domains get *fresh unique* MX names and
-addresses (reserved 240/8 space the world generator never allocates)
-rather than edited copies of shared rows.  Untouched domains keep their
-original (shared) objects, and snapshot order is preserved.
+Mutations keep one observation value per address, as a gather does:
+mutated domains get *fresh unique* MX names and addresses (reserved
+240/8 space the world generator never allocates) rather than edited
+copies of existing rows.  The codec writes rows by value, so each
+churned observation brings its own AS row (all equal to ``CHURN_AS``)
+and scan row.  Untouched domains keep their original (shared) objects,
+and snapshot order is preserved.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ def synthesize_churn(
 def _synthetic_mx(index: int, seed: int, original: DomainMeasurement) -> MXData:
     # 240/8 is reserved ("future use"): the world generator never hands
     # these addresses out, so each mutated domain gets a unique endpoint
-    # and the one-observation-per-address canonical invariant holds.
+    # and each address keeps one observation value.
     address = f"240.{seed % 200}.{index // 250}.{index % 250}"
     host = f"mx-{seed}-{index}.churn.invalid"
     scan = PortScanRecord(

@@ -326,6 +326,25 @@ def run_daemon(args: argparse.Namespace, argv: list[str]) -> int:
     from ..resilience.journal import RunJournal, new_run_id
     from .resilience import AdmissionControl, ServeGuard
 
+    if args.workers > 1:
+        # Pool workers build their daemons without these, so no document
+        # would ever be written: refuse rather than drop them silently.
+        dropped = [
+            flag
+            for flag, value in (
+                ("--metrics-out", args.metrics_out),
+                ("--manifest-out", args.manifest_out),
+                ("--flush-interval", args.flush_interval),
+            )
+            if value is not None
+        ]
+        if dropped:
+            raise ServiceError(
+                f"{', '.join(dropped)} cannot be combined with --workers "
+                f"{args.workers}: pool workers write no metrics or manifest "
+                "documents",
+                code="bad-request",
+            )
     try:
         plan = resolve_plan(args.faults, args.seed)
     except ValueError as error:

@@ -36,10 +36,6 @@ class Reply:
     def first_line(self) -> str:
         return self.lines[0]
 
-    @property
-    def is_positive(self) -> bool:
-        return 200 <= self.code < 300
-
     def render(self) -> str:
         """Render to wire format (``-`` continuation on all but the last)."""
         out = []
@@ -84,13 +80,5 @@ def service_ready(banner_text: str) -> Reply:
     return Reply(code=220, lines=(banner_text,))
 
 
-def ok(text: str = "OK") -> Reply:
-    return Reply(code=250, lines=(text,))
-
-
 def ehlo_response(identity: str, extensions: tuple[str, ...]) -> Reply:
     return Reply(code=250, lines=(identity, *extensions))
-
-
-def not_available(text: str = "Service not available") -> Reply:
-    return Reply(code=421, lines=(text,))

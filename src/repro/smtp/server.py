@@ -75,13 +75,6 @@ class SMTPHostTable:
             raise ValueError(f"address {address} already bound")
         self._hosts[address] = config
 
-    def rebind(self, address: str, config: SMTPServerConfig) -> None:
-        """Replace whatever is bound at *address* (used by churn evolution)."""
-        self._hosts[address] = config
-
-    def unbind(self, address: str) -> None:
-        self._hosts.pop(address, None)
-
     def get(self, address: str) -> SMTPServerConfig | None:
         return self._hosts.get(address)
 

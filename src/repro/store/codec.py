@@ -3,12 +3,17 @@
 The store's value types are deeply repetitive: the same MX names, IP
 addresses, AS records, scan captures, and certificates back thousands of
 domains in every corpus and snapshot.  Naive pickling writes each object
-graph reference-by-reference; this codec instead writes **interned
-tables** (strings, dates, certificates, scan records, AS records,
-observations, MX rows) followed by packed index columns, then compresses
-the whole payload.  Decoding constructs each unique object exactly once
-and shares it across every referencing domain — the same sharing the
-memoizing gatherer produces.
+graph reference-by-reference; this codec instead writes **tables**
+(strings, dates, certificates, scan records, AS records, observations,
+MX rows) followed by packed index columns, then compresses the whole
+payload.  Measurement payloads are written by value: equal strings,
+dates, certificates and observations share one row, each observation
+row brings its own AS and scan rows, and each MX occurrence gets its
+own row.  A snapshot's bytes therefore depend only on its values, not
+on which of its Python objects happen to be shared — a memoized gather,
+an unmemoized one and the merged shards of a process pool all encode
+alike.  Decoding constructs each row's object once and shares it across
+every referencing domain.
 
 This module owns the layout: each payload format has one encoder and
 one reader.  :class:`SnapshotView` reads measurement payloads and
@@ -248,11 +253,12 @@ class _DateTable:
 class _Interner:
     """Value-interned rows: ``ref`` encodes an object once, 0 means None.
 
-    Interning is by value (equal objects share one row), with an identity
-    fast path: the memoizing gatherer already shares observation objects
+    Interning is by value (equal objects share one row), so the rows do
+    not depend on how the input shares its objects.  An identity fast
+    path skips the hash: the memoizing gatherer shares observation objects
     across domains, so most references resolve through ``id()`` without
-    re-hashing a deep dataclass graph.  ``_index`` keeps every keyed
-    object alive, so ids cannot be recycled while the encoder runs.
+    re-hashing a deep dataclass graph.  Every object the encoder sees is
+    reachable from its input, so ids cannot be recycled while it runs.
     """
 
     __slots__ = ("_index", "_by_id", "_encode_row")
@@ -281,14 +287,13 @@ class _Interner:
 class _IdInterner:
     """Identity-interned rows: one row per distinct *object*, 0 means None.
 
-    For deep object graphs (observations, MX rows) a value dict would
-    recursively hash the whole subtree on every first sight; the memoizing
-    gatherer already shares equal objects by identity, so identity
-    interning gets the same dedup at dict-of-int cost.  Distinct-but-equal
-    objects (memoization off, cross-shard duplicates from process workers)
-    merely occupy extra rows — decoded values are identical either way,
-    and zlib flattens most of the redundancy.  The ``_keep`` list pins
-    every keyed object alive so ids cannot be recycled mid-encode.
+    The result encoder's identity rows (IP and MX identities) use it: a
+    value dict would recursively hash each identity graph on first sight,
+    while the pipeline already shares one identity object per distinct
+    MX, so identity interning gets the same dedup at dict-of-int cost.
+    Distinct-but-equal objects merely occupy extra rows; decoded values
+    are identical either way.  The ``_keep`` list pins every keyed object
+    alive so ids cannot be recycled mid-encode.
     """
 
     __slots__ = ("_by_id", "_keep", "_encode_row")
@@ -427,7 +432,7 @@ def encode_measurements(measurements: dict[str, DomainMeasurement]) -> bytes:
 
     scan_sigs: list[int] = [0]
 
-    def scan_row(scan: PortScanRecord) -> None:
+    def scan_row(scan: PortScanRecord) -> int:
         scan_addr.append(strings.ref(scan.address))
         scan_date.append(dates.ref(scan.scanned_on))
         state_code = _PORT_STATE_CODES[scan.state]
@@ -451,8 +456,7 @@ def encode_measurements(measurements: dict[str, DomainMeasurement]) -> bytes:
             cert_sigs[cert_ref],
             valid,
         )))
-
-    scans = _IdInterner(scan_row)
+        return len(scan_sigs) - 1
 
     as_asn: list[int] = []
     as_name: list[int] = []
@@ -460,38 +464,35 @@ def encode_measurements(measurements: dict[str, DomainMeasurement]) -> bytes:
 
     as_sigs: list[int] = [0]
 
-    def as_row(info: ASInfo) -> None:
+    def as_row(info: ASInfo) -> int:
         as_asn.append(info.asn)
         as_name.append(strings.ref(info.name))
         as_country.append(strings.ref(info.country))
         as_sigs.append(_stable_sig((info.asn, info.name, info.country)))
-
-    asinfos = _IdInterner(as_row)
+        return len(as_sigs) - 1
 
     obs_addr: list[int] = []
     obs_as: list[int] = []
     obs_scan: list[int] = []
 
-    as_by_id = asinfos._by_id
-    as_ref = asinfos.ref
-    scan_by_id = scans._by_id
-    scan_ref = scans.ref
-
     obs_sigs: list[int] = [0]
 
     def obs_row(obs: IPObservation) -> None:
+        # An observation's AS and scan rows are written with it, never
+        # shared with another observation: one observation value per
+        # address then fixes every row, however the objects are shared.
         obs_addr.append(strings.ref(obs.address))
         info = obs.as_info
-        as_idx = (as_by_id.get(id(info)) or as_ref(info)) if info else 0
+        as_idx = as_row(info) if info is not None else 0
         obs_as.append(as_idx)
         scan = obs.scan
-        scan_idx = (scan_by_id.get(id(scan)) or scan_ref(scan)) if scan else 0
+        scan_idx = scan_row(scan) if scan is not None else 0
         obs_scan.append(scan_idx)
         obs_sigs.append(
             _stable_sig((obs.address, as_sigs[as_idx], scan_sigs[scan_idx]))
         )
 
-    observations = _IdInterner(obs_row)
+    observations = _Interner(obs_row)
 
     mx_name: list[int] = []
     mx_preference: list[int] = []
@@ -507,7 +508,11 @@ def encode_measurements(measurements: dict[str, DomainMeasurement]) -> bytes:
 
     mx_sigs: list[int] = [0]
 
-    def mx_row(mx: MXData) -> None:
+    def mx_row(mx: MXData) -> int:
+        """One new row per MX occurrence, as the gatherer builds them;
+        reference 0 for a None, which no gather produces."""
+        if mx is None:
+            return 0
         name = mx.name
         mx_name.append(string_index.get(name) or strings.ref(name))
         mx_preference.append(mx.preference)
@@ -526,8 +531,7 @@ def encode_measurements(measurements: dict[str, DomainMeasurement]) -> bytes:
         else:
             ip_sigs = ()
         mx_sigs.append(_stable_sig((name, mx.preference, ip_sigs)))
-
-    mx_rows = _IdInterner(mx_row)
+        return len(mx_sigs) - 1
 
     dom_name: list[int] = []
     dom_date: list[int] = []
@@ -540,8 +544,6 @@ def encode_measurements(measurements: dict[str, DomainMeasurement]) -> bytes:
     string_ref = strings.ref
     date_ref = dates.ref
     date_index = dates._index
-    mx_ref = mx_rows.ref
-    mx_by_id = mx_rows._by_id
     # Most domains have one MX and zero-or-one TXT record; a dedicated
     # single-element path skips the per-domain listcomp frame, which at
     # corpus scale costs as much as the interning itself.  Date refs are
@@ -556,12 +558,11 @@ def encode_measurements(measurements: dict[str, DomainMeasurement]) -> bytes:
         count = len(mx_set)
         dom_mx_counts.append(count)
         if count == 1:
-            mx = mx_set[0]
-            ref = mx_by_id.get(id(mx)) or mx_ref(mx)
+            ref = mx_row(mx_set[0])
             dom_mx_flat.append(ref)
             mx_sig_tuple: tuple[int, ...] = (mx_sigs[ref],)
         elif count:
-            refs = [mx_by_id.get(id(mx)) or mx_ref(mx) for mx in mx_set]
+            refs = [mx_row(mx) for mx in mx_set]
             dom_mx_flat.extend(refs)
             mx_sig_tuple = tuple([mx_sigs[ref] for ref in refs])
         else:
@@ -749,8 +750,9 @@ class SnapshotView:
     ) -> dict[str, DomainMeasurement]:
         """Object graphs for *wanted* domains (all when None), payload order.
 
-        Shared rows decode once: two domains behind the same MX receive
-        the identical :class:`MXData` object, as they did when gathered.
+        Shared rows decode once: two domains behind the same address
+        receive the identical :class:`IPObservation` object, as the
+        memoizing gatherer hands it out; each MX occurrence is its own row.
         With no *wanted* this is :func:`decode_measurements`.
         """
         try:

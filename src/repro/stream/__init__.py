@@ -1,13 +1,12 @@
-"""Out-of-core measure path: batched gathers, shared tables, spill/merge.
+"""Out-of-core measure path: batched gathers, spill/merge.
 
 ``repro.stream`` keeps the measure path's peak RSS near-flat as
 ``REPRO_SCALE`` grows: domains are gathered in bounded contiguous
 batches whose results live on the heap as *encoded* codec payloads
-(the PR 2 wire format doubles as the in-flight representation), with
+(the store's wire format doubles as the in-flight representation), with
 overflow spilled through :mod:`repro.store` and merged back in
-deterministic batch order.  Read-only snapshot tables are published
-once through ``multiprocessing.shared_memory`` and mapped zero-copy
-by forked workers instead of being rebuilt per shard.
+deterministic batch order.  :func:`stream_gather` is the one gather
+entry: an unbatched plan is a single plain parallel gather.
 
 Batching is an engine *optimization*, never a semantic switch: every
 output — stdout, artifacts, store digests — is byte-identical across
@@ -23,9 +22,8 @@ from .batching import (
     env_stream_keep,
     resolve_batch,
 )
-from .canon import canonicalize_measurements, merge_payloads
+from .canon import merge_payloads
 from .gather import stream_gather
-from .shm import SharedBlob, SharedPrefix2AS, SharedWorldTables
 from .spill import MEM_BUDGET_ENV, BatchSpiller, env_budget_bytes
 
 __all__ = [
@@ -33,11 +31,7 @@ __all__ = [
     "MEM_BUDGET_ENV",
     "BatchPlan",
     "BatchSpiller",
-    "SharedBlob",
-    "SharedPrefix2AS",
-    "SharedWorldTables",
     "STREAM_KEEP_ENV",
-    "canonicalize_measurements",
     "env_batch",
     "env_budget_bytes",
     "env_stream_keep",

@@ -1,26 +1,19 @@
-"""Canonical identity topology for measurement dicts.
+"""One observation object per address for merged measurement dicts.
 
 Within one snapshot every distinct IP address has exactly one
-observation: the gatherer's memo caches guarantee it on the serial
-path, but process workers pickle their shard results, so objects that
-were shared across shards come back as equal-but-distinct copies.
-:func:`canonicalize_measurements` rebuilds a measurement dict so the
-object graph is the same no matter how it was produced — one
-:class:`~repro.measure.dataset.IPObservation` (and one ``ASInfo`` /
-``PortScanRecord``) per address, a fresh :class:`MXData` per
-occurrence, domain order untouched.
-
-Because the PR 2 codec interns observations by *identity*, canonical
-dicts encode to byte-identical payloads regardless of ``--jobs``,
-executor, ``--batch-domains``, or memoization — which is what lets the
-store digest acceptance gate hold across every engine setting.
+observation value.  The memoizing gatherer also hands out one object
+per address, but decoded batch payloads each build their own, so a
+merge of several batches would hold an equal copy per batch.
+:func:`canonicalize_measurements` folds those copies into the first
+object seen per address (a fresh :class:`MXData` per occurrence, domain
+order untouched).  It saves memory, not bytes: the codec writes rows by
+value, so any sharing of equal objects encodes to the same payload.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from ..measure.caida import ASInfo
 from ..measure.dataset import DomainMeasurement, IPObservation, MXData
 from ..store.codec import decode_measurements
 
@@ -36,7 +29,7 @@ def canonicalize_measurements(
             MXData(
                 name=mx.name,
                 preference=mx.preference,
-                ips=tuple(_canon_observation(ip, obs_pool) for ip in mx.ips),
+                ips=tuple(obs_pool.setdefault(ip.address, ip) for ip in mx.ips),
             )
             for mx in measurement.mx_set
         )
@@ -47,28 +40,6 @@ def canonicalize_measurements(
             txt=measurement.txt,
         )
     return output
-
-
-def _canon_observation(
-    observation: IPObservation, obs_pool: dict[str, IPObservation]
-) -> IPObservation:
-    cached = obs_pool.get(observation.address)
-    if cached is not None:
-        return cached
-    as_info = observation.as_info
-    if as_info is not None:
-        # Rebuilt, not reused: some lookup sources (the shared-memory
-        # table's per-ASN memo) hand one ASInfo object to many
-        # addresses, and the codec interns by identity — per-address
-        # instances keep the encoded row layout source-independent.
-        as_info = ASInfo(asn=as_info.asn, name=as_info.name, country=as_info.country)
-    canon = IPObservation(
-        address=observation.address,
-        as_info=as_info,
-        scan=observation.scan,
-    )
-    obs_pool[observation.address] = canon
-    return canon
 
 
 def merge_payloads(payloads: Iterable[bytes]) -> dict[str, DomainMeasurement]:

@@ -1,15 +1,16 @@
-"""The streamed gather loop: batch → parallel gather → encode → spill.
+"""The one gather entry: batch → parallel gather → encode → spill.
 
-``stream_gather`` is the out-of-core twin of
-:func:`repro.engine.parallel.parallel_gather`: it walks the batch plan's
-contiguous slices, gathers each one through the ordinary parallel
-engine under its own supervision bundle (so restarts, fault rolls and
-shard checkpoints behave exactly as unbatched runs, keyed per batch),
-hands the result straight to the spiller as an encoded payload, and
-trims the gatherer's memo caches between batches.  The final merge
-restores the canonical identity topology, so the return value is
-byte-for-byte what an unbatched gather would have produced — batching
-is invisible to every consumer.
+``stream_gather`` runs a snapshot gather under a batch plan.  An
+unbatched plan is exactly one :func:`repro.engine.parallel.parallel_gather`
+call over every target, supervised per (corpus, snapshot).  A batched
+plan walks the plan's contiguous slices, gathers each one through the
+same parallel engine under its own supervision bundle (so restarts,
+fault rolls and shard checkpoints behave exactly as unbatched runs,
+keyed per batch), hands the result straight to the spiller as an
+encoded payload, and trims the gatherer's memo caches between batches.
+The final merge folds cross-batch copies into one observation per
+address, so the return value encodes to the same bytes as an unbatched
+gather — batching is invisible to every consumer.
 """
 
 from __future__ import annotations
@@ -53,14 +54,25 @@ def stream_gather(
     spiller: BatchSpiller,
     jobs: int | None = None,
     executor: str | None = None,
-    supervision_factory: Callable[[int], object],
+    supervision_factory: Callable[[tuple[int, int, int] | None], object],
     cache_entries: int | None = None,
 ):
-    """Gather *targets* batch by batch; returns the canonical merged dict.
+    """Gather *targets* under *plan*; returns the measurement dict.
 
-    ``supervision_factory(batch_index)`` builds the
-    :class:`~repro.resilience.GatherSupervision` each batch runs under.
+    ``supervision_factory(batch)`` builds the
+    :class:`~repro.resilience.GatherSupervision` a gather runs under:
+    *batch* is the plan key of the batch, or None for an unbatched plan,
+    whose gather leaves the spiller and the memo caches untouched.
     """
+    if not plan.active:
+        return parallel_gather(
+            gatherer,
+            targets,
+            snapshot_index,
+            jobs=jobs,
+            executor=executor,
+            supervision=supervision_factory(None),
+        )
     cache_cap = env_cache_entries() if cache_entries is None else cache_entries
     with STATS.timer("gather.stream"):
         for batch_index, batch in plan.split(targets):
@@ -72,7 +84,9 @@ def stream_gather(
                 snapshot_index,
                 jobs=jobs,
                 executor=executor,
-                supervision=supervision_factory(batch_index),
+                supervision=supervision_factory(
+                    plan.key(batch_index, len(targets))
+                ),
             )
             spiller.add(batch_index, gathered)
             del gathered
@@ -83,7 +97,7 @@ def stream_gather(
         merged = spiller.merge()
     # The merged graph replaces whatever per-batch instances the memo
     # caches hold; adopting it keeps later gathers (showcase domains,
-    # churn studies) interning against the canonical objects.
+    # churn studies) interning against the merged objects.
     gatherer.adopt(merged)
     sample_peak_rss()
     return merged

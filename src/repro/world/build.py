@@ -21,7 +21,7 @@ from ..netsim.registry import AddressBlock, AddressRegistry
 from ..smtp.banner import BannerStyle
 from ..smtp.server import SMTPHostTable, SMTPServerConfig
 from ..tls.ca import CertificateAuthority, TrustStore, self_signed
-from .catalog import CATALOG, catalog_by_slug
+from .catalog import CATALOG
 from .entities import (
     ASNSpec,
     CompanyInfra,

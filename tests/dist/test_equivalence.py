@@ -40,7 +40,6 @@ from repro.resilience import (
 )
 from repro.resilience.supervisor import _roll
 from repro.store.codec import encode_measurements
-from repro.stream.canon import canonicalize_measurements
 from repro.world.entities import DatasetTag
 
 from conftest import wait_for
@@ -121,17 +120,16 @@ def pick_crash_seed(scope_key: str, shard_count: int, rate: float,
 
 @pytest.fixture(scope="module")
 def reference(ctx, last_snapshot):
-    """The serial reference: one whole-list gather, canonical bytes."""
+    """The serial reference: one whole-list gather, encoded."""
     domains = ctx.domains(DatasetTag.ALEXA)[:N_DOMAINS]
     expected = ctx.gatherer.gather(list(domains), last_snapshot)
     return domains, last_snapshot, canonical_bytes(expected)
 
 
 def canonical_bytes(measurements: dict) -> bytes:
-    """Encoded bytes after the same canonicalization the engine applies
-    to every merged gather (one observation object per address) — shard
-    boundaries must leave no trace in the stored artifact."""
-    return encode_measurements(canonicalize_measurements(measurements))
+    """Encoded bytes of a merged gather.  The codec writes rows by value,
+    so shard boundaries must leave no trace in the stored artifact."""
+    return encode_measurements(measurements)
 
 
 def run_dist_gather(

@@ -45,19 +45,6 @@ class TestConstructors:
         assert ns("example.com", "ns1.example.com").rtype is RRType.NS
 
 
-class TestZoneLine:
-    def test_mx_rendering(self):
-        line = mx("example.com", "mx.example.com", preference=5).to_zone_line()
-        assert line == "example.com. 3600 IN MX 5 mx.example.com."
-
-    def test_a_rendering(self):
-        line = a("example.com", "1.2.3.4").to_zone_line()
-        assert line == "example.com. 3600 IN A 1.2.3.4"
-
-    def test_txt_rendering_quotes(self):
-        assert '"hello"' in txt("example.com", "hello").to_zone_line()
-
-
 class TestRRset:
     def _mx_set(self):
         records = (

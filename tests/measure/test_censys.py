@@ -96,11 +96,6 @@ class TestCoverage:
         day_two = [scanner.scan_address(a, date(2021, 6, 8)) is None for a in addresses]
         assert day_one != day_two
 
-    def test_scan_many_omits_uncovered(self):
-        scanner = CensysScanner(make_table(), coverage_for=lambda a: 0.0 if a.endswith(".1") else 1.0)
-        records = scanner.scan_many(["11.0.0.1", "11.0.0.2"], DAY)
-        assert set(records) == {"11.0.0.2"}
-
     def test_cache_returns_same_object(self):
         scanner = CensysScanner(make_table())
         first = scanner.scan_address("11.0.0.1", DAY)

@@ -5,7 +5,7 @@ from datetime import date
 import pytest
 
 from repro.dnscore import ZoneDB, a, cname, mx
-from repro.measure.openintel import DNSSnapshotRecord, MXObservation, OpenINTELPlatform
+from repro.measure.openintel import MXObservation, OpenINTELPlatform
 
 DATES = (date(2020, 6, 8), date(2020, 12, 8))
 
@@ -72,17 +72,6 @@ class TestBatchAndStability:
     def test_most_preferred(self, platform):
         record = platform.measure_domain("example.com", 0)
         assert [mx.name for mx in record.most_preferred] == ["mx1.example.com"]
-
-    def test_all_addresses_deduplicated(self):
-        record = DNSSnapshotRecord(
-            domain="x.com",
-            measured_on=DATES[0],
-            mx=(
-                MXObservation("a.x.com", 10, ("1.1.1.1", "2.2.2.2")),
-                MXObservation("b.x.com", 10, ("1.1.1.1",)),
-            ),
-        )
-        assert record.all_addresses == ("1.1.1.1", "2.2.2.2")
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError):

@@ -59,11 +59,6 @@ class TestAllocation:
         with pytest.raises(ExhaustedError):
             registry.allocate_block(1, 23)
 
-    def test_lookup_as_object(self, registry):
-        block = registry.allocate_block(8075, 20)
-        asys = registry.lookup_as(str(block.prefix.first + 5))
-        assert asys.name == "Microsoft"
-
     def test_blocks_listing(self, registry):
         registry.allocate_block(15169, 20)
         registry.allocate_block(8075, 20)

@@ -550,6 +550,9 @@ class TestConsistencyBarrier:
 
 
 _POOL_TIMEOUT = 120
+_REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__)
+)))
 
 
 class TestWorkerPool:
@@ -573,7 +576,7 @@ class TestWorkerPool:
             stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT,
             env={**os.environ, "PYTHONPATH": "src"},
-            cwd="/root/repo",
+            cwd=_REPO_ROOT,
             text=True,
         )
         try:
@@ -586,6 +589,48 @@ class TestWorkerPool:
                 except subprocess.TimeoutExpired:
                     process.kill()
                     process.wait()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--metrics-out", "metrics.json"),
+        ("--manifest-out", "manifest.json"),
+        ("--flush-interval", "1"),
+    ])
+    def test_pool_refuses_document_flags(self, seeded, tmp_path, flag, value):
+        """The pool's workers write no metrics or manifest documents, so
+        ``run --workers N`` must refuse these flags instead of serving."""
+        config, root, _domains = seeded
+        socket_path = tmp_path / "pool.sock"
+        if flag != "--flush-interval":
+            value = str(tmp_path / value)
+        process = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "serve", "run",
+                "--workers", "2",
+                "--socket", str(socket_path),
+                "--cache-dir", root,
+                "--seed", str(config.seed),
+                "--scale", "0.25",
+                "--run-dir", str(tmp_path / "run"),
+                flag, value,
+            ],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": "src"},
+            cwd=_REPO_ROOT,
+            text=True,
+            start_new_session=True,
+        )
+        try:
+            _stdout, stderr = process.communicate(timeout=30)
+        except subprocess.TimeoutExpired:
+            # A pool that accepted the flag is serving: stop it and its
+            # forked workers, then fail.
+            os.killpg(process.pid, signal.SIGTERM)
+            process.communicate()
+            pytest.fail(f"'serve run --workers 2 {flag}' started serving")
+        assert process.returncode == 2
+        assert flag in stderr
+        assert not socket_path.exists()
 
     def _events(self, run_dir):
         path = os.path.join(run_dir, "journal.jsonl")

@@ -6,8 +6,6 @@ from repro.smtp.replies import (
     Reply,
     ReplyParseError,
     ehlo_response,
-    not_available,
-    ok,
     parse_reply,
     service_ready,
 )
@@ -18,10 +16,6 @@ class TestReply:
         reply = Reply(code=250, lines=("a", "b"))
         assert reply.text == "a\nb"
         assert reply.first_line == "a"
-
-    def test_positive(self):
-        assert ok().is_positive
-        assert not not_available().is_positive
 
     def test_implausible_code_rejected(self):
         with pytest.raises(ReplyParseError):

@@ -79,20 +79,6 @@ class TestSMTPHostTable:
         with pytest.raises(ValueError):
             table.bind("11.0.0.1", make_server(ca, identity="mx2.provider.com"))
 
-    def test_rebind_allowed(self, ca):
-        table = SMTPHostTable()
-        table.bind("11.0.0.1", make_server(ca))
-        replacement = make_server(ca, identity="mx9.other.com")
-        table.rebind("11.0.0.1", replacement)
-        assert table.get("11.0.0.1") is replacement
-
-    def test_unbind(self, ca):
-        table = SMTPHostTable()
-        table.bind("11.0.0.1", make_server(ca))
-        table.unbind("11.0.0.1")
-        assert table.get("11.0.0.1") is None
-        table.unbind("11.0.0.1")  # idempotent
-
 
 class TestSMTPClient:
     def test_full_probe(self, ca):

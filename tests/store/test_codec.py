@@ -18,7 +18,12 @@ from repro.core.types import (
 )
 from repro.measure.caida import ASInfo
 from repro.measure.censys import Port25State, PortScanRecord
-from repro.measure.dataset import DomainMeasurement, IPObservation, MXData
+from repro.measure.dataset import (
+    DomainMeasurement,
+    IPObservation,
+    MeasurementGatherer,
+    MXData,
+)
 from repro.store import (
     CodecError,
     ResultView,
@@ -103,6 +108,82 @@ class TestMeasurementRoundTrip:
                     decode_measurements(legacy)
                 with pytest.raises(CodecError):
                     SnapshotView(legacy)
+
+
+def _pieces(measurements: dict, count: int) -> list[dict]:
+    """*measurements* cut into *count* contiguous dicts, in order."""
+    items = list(measurements.items())
+    size = -(-len(items) // count)
+    return [dict(items[start:start + size]) for start in range(0, len(items), size)]
+
+
+class TestValueEncoding:
+    """A snapshot's bytes depend on its values, not on object sharing."""
+
+    def test_every_form_of_a_snapshot_encodes_alike(self, ctx):
+        source = ctx.gatherer
+        unmemoized = MeasurementGatherer(
+            source.openintel, source.censys, source.prefix2as, memoize=False
+        )
+        for dataset, snapshot in _cells(ctx):
+            domains = ctx.domains(dataset)
+            raw = source.gather(domains, snapshot)
+            expected = encode_measurements(raw)
+            # Process shards return pickled halves: equal, unshared copies.
+            shards: dict = {}
+            for half in _pieces(raw, 2):
+                shards.update(pickle.loads(pickle.dumps(half)))
+            # Batched gathers hold decoded payloads, one object graph each.
+            batches: dict = {}
+            for third in _pieces(raw, 3):
+                batches.update(decode_measurements(encode_measurements(third)))
+            forms = {
+                "memoize-off": unmemoized.gather(domains, snapshot),
+                "pickled-halves": shards,
+                "decoded-thirds": batches,
+            }
+            for name, form in forms.items():
+                assert form == raw, (dataset, snapshot, name)
+                assert encode_measurements(form) == expected, (
+                    dataset, snapshot, name,
+                )
+
+    def test_equal_observations_share_one_row(self):
+        first = MXData(name="mx.test.example", preference=10,
+                       ips=(_observation("192.0.2.1"),))
+        copy = MXData(name="mx.test.example", preference=10,
+                      ips=(_observation("192.0.2.1"),))
+        assert first.ips[0] is not copy.ips[0]
+        distinct = encode_measurements({
+            "a.example": DomainMeasurement("a.example", DAY, (first,)),
+            "b.example": DomainMeasurement("b.example", DAY, (copy,)),
+        })
+        shared = encode_measurements({
+            "a.example": DomainMeasurement("a.example", DAY, (first,)),
+            "b.example": DomainMeasurement("b.example", DAY, (first,)),
+        })
+        assert distinct == shared
+        decoded = decode_measurements(distinct)
+        assert (decoded["a.example"].mx_set[0].ips[0]
+                is decoded["b.example"].mx_set[0].ips[0])
+
+    def test_different_observations_of_one_address_keep_two_rows(self):
+        cert = Certificate(subject_cn="mx.test.example",
+                           not_before=date(2020, 1, 1), not_after=date(2022, 1, 1))
+        plain = _observation("192.0.2.1")
+        with_cert = _observation("192.0.2.1", certificate=cert)
+        measurements = {
+            domain: DomainMeasurement(domain, DAY, (MXData(
+                name="mx.test.example", preference=10, ips=(observation,),
+            ),))
+            for domain, observation in (
+                ("a.example", plain), ("b.example", with_cert),
+            )
+        }
+        decoded = decode_measurements(encode_measurements(measurements))
+        assert decoded == measurements
+        assert decoded["a.example"].mx_set[0].ips[0] == plain
+        assert decoded["b.example"].mx_set[0].ips[0] == with_cert
 
 
 class TestResultRoundTrip:

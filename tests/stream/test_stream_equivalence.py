@@ -92,18 +92,6 @@ class TestInferenceIdentity:
         )
         assert sweep_bytes(ctx) == reference
 
-    def test_shared_tables_published_only_when_batched(self):
-        unbatched = StudyContext.create(
-            WorldConfig(seed=5, alexa_size=20, com_size=20, gov_size=10),
-            engine=EngineOptions(jobs=1),
-        )
-        assert unbatched.stream_tables is None
-        batched = StudyContext.create(
-            WorldConfig(seed=5, alexa_size=20, com_size=20, gov_size=10),
-            engine=EngineOptions(jobs=1, batch_domains=5),
-        )
-        assert batched.stream_tables is not None
-
 
 # One world build + full store-backed sweep per *subprocess*, printing a
 # digest of every store entry.  Settings share nothing but the world
